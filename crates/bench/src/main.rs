@@ -29,6 +29,7 @@ use lpr_core::prelude::*;
 use lpr_obs::json::JsonValue;
 use lpr_obs::Recorder;
 use std::io::Write;
+use std::net::Ipv4Addr;
 
 /// A counting wrapper around the system allocator: two relaxed atomics
 /// per allocation, read by `--alloc` to attribute allocation counts and
@@ -711,13 +712,10 @@ fn pipeline(args: &[String]) -> i32 {
     let metrics = warts::StreamMetrics::from_recorder(&recorder);
     let mut decoded = Vec::new();
     let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).with_metrics(metrics);
+    let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
     loop {
-        match reader.next_record() {
-            Ok(Some(warts::Record::Trace(t))) => {
-                if let Ok(Some(core)) = warts::trace_to_core(&t) {
-                    decoded.push(core);
-                }
-            }
+        match reader.next_trace_into(&mut trace) {
+            Ok(Some(warts::Decoded::Trace)) => decoded.push(trace.clone()),
             Ok(Some(_)) => {}
             Ok(None) => break,
             Err(e) => {
@@ -2173,14 +2171,12 @@ fn chaos(args: &[String]) -> i32 {
         let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).lenient();
         let mut decoded = Vec::new();
         let mut convert_failures = 0u64;
+        let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
         loop {
-            match reader.next_record() {
-                Ok(Some(warts::Record::Trace(t))) => match warts::trace_to_core(&t) {
-                    Ok(Some(core)) => decoded.push(core),
-                    Ok(None) => {}
-                    Err(_) => convert_failures += 1,
-                },
-                Ok(Some(_)) => {}
+            match reader.next_trace_into(&mut trace) {
+                Ok(Some(warts::Decoded::Trace)) => decoded.push(trace.clone()),
+                Ok(Some(warts::Decoded::NotIpv4)) => {}
+                Ok(Some(warts::Decoded::ConvertFailed(_))) => convert_failures += 1,
                 Ok(None) => break,
                 Err(e) => {
                     eprintln!("FAIL: rate {rate}: lenient decode aborted: {e}");

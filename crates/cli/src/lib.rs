@@ -272,27 +272,22 @@ fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, Cli
     it.next().cloned().ok_or_else(|| err(format!("{flag} wants a value")))
 }
 
-/// Loads every trace from a list of warts files.
+/// Loads every trace from a list of warts files. A record that does
+/// not decode fails the load; failing that, the first trace that does
+/// not convert does.
 pub fn load_traces(paths: &[String]) -> Result<Vec<Trace>, CliError> {
-    load_traces_par(paths, 1)
-}
-
-/// [`load_traces`] with parallel record→trace conversion: the stateful
-/// warts record decode stays sequential (the format carries a file-wide
-/// address dictionary), the per-record conversion shards across
-/// `threads` workers, preserving record order.
-pub fn load_traces_par(paths: &[String], threads: usize) -> Result<Vec<Trace>, CliError> {
     let mut traces = Vec::new();
     for path in paths {
-        let bytes = std::fs::read(path)
-            .map_err(|e| err(format!("{path}: {e}")))?;
-        let records = warts::WartsReader::new(&bytes)
-            .traces()
-            .map_err(|e| err(format!("{path}: {e}")))?;
-        traces.extend(
-            warts::traces_to_core_par(&records, threads)
-                .map_err(|e| err(format!("{path}: {e}")))?,
-        );
+        let bytes = std::fs::read(path).map_err(|e| err(format!("{path}: {e}")))?;
+        let mut reader = warts::WartsStreamReader::new(bytes.as_slice());
+        let (_, first_failure) = decode_traces(&mut reader, &mut traces).map_err(|e| match e {
+            // Reported as the warts error itself, without the stream's prefix.
+            warts::StreamError::Decode(e) => err(format!("{path}: {e}")),
+            e => err(format!("{path}: {e}")),
+        })?;
+        if let Some(e) = first_failure {
+            return Err(err(format!("{path}: {e}")));
+        }
     }
     Ok(traces)
 }
@@ -315,30 +310,42 @@ pub fn load_traces_lenient(
         if let Some(rec) = recorder {
             reader = reader.with_metrics(warts::StreamMetrics::from_recorder(rec));
         }
-        loop {
-            match reader.next_record() {
-                Ok(Some(warts::Record::Trace(t))) => match warts::trace_to_core(&t) {
-                    Ok(Some(trace)) => {
-                        report.traces += 1;
-                        traces.push(trace);
-                    }
-                    Ok(None) => {}
-                    Err(_) => report.convert_failures += 1,
-                },
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => return Err(err(format!("{path}: {e}"))),
-            }
-        }
+        let (failures, _) =
+            decode_traces(&mut reader, &mut traces).map_err(|e| err(format!("{path}: {e}")))?;
+        report.convert_failures += failures;
         for (reason, n) in reader.skip_counts() {
             *report.skipped.entry(*reason).or_default() += n;
         }
         report.resync_bytes += reader.resync_bytes();
     }
+    report.traces = traces.len() as u64;
     if let Some(rec) = recorder {
         rec.counter(lpr_obs::names::CLI_CONVERT_FAILURES).add(report.convert_failures);
     }
     Ok((traces, report))
+}
+
+/// Decodes a file's traces straight into the core model, appending the
+/// IPv4 ones to `traces`. Returns how many traces failed to convert and
+/// the first such error.
+fn decode_traces(
+    reader: &mut warts::WartsStreamReader<&[u8]>,
+    traces: &mut Vec<Trace>,
+) -> Result<(u64, Option<warts::WartsError>), warts::StreamError> {
+    let unspecified = std::net::Ipv4Addr::UNSPECIFIED;
+    let mut trace = Trace::new(unspecified, unspecified);
+    let (mut failures, mut first_failure) = (0u64, None);
+    while let Some(decoded) = reader.next_trace_into(&mut trace)? {
+        match decoded {
+            warts::Decoded::Trace => traces.push(trace.clone()),
+            warts::Decoded::NotIpv4 => {}
+            warts::Decoded::ConvertFailed(e) => {
+                failures += 1;
+                first_failure.get_or_insert(e);
+            }
+        }
+    }
+    Ok((failures, first_failure))
 }
 
 /// Loads the RIB snapshot into a longest-prefix-match trie.
@@ -380,7 +387,7 @@ pub fn run_pipeline_recorded(
     let (traces, load) = if o.keep_going {
         load_traces_lenient(&o.inputs, recorder)?
     } else {
-        (load_traces_par(&o.inputs, threads)?, LoadReport::default())
+        (load_traces(&o.inputs)?, LoadReport::default())
     };
     drop(load_span);
     if let Some(rec) = recorder {
@@ -403,7 +410,7 @@ pub fn run_pipeline_recorded(
         .next
         .iter()
         .map(|p| {
-            load_traces_par(std::slice::from_ref(p), threads)
+            load_traces(std::slice::from_ref(p))
                 .map(|t| Pipeline::snapshot_keys_par(&t, threads))
         })
         .collect::<Result<_, _>>()?;

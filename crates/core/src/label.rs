@@ -141,57 +141,98 @@ impl fmt::Debug for Lse {
 /// entry; stacks deeper than one appear with e.g. VPN service labels or
 /// LDP-over-RSVP. The stack preserves every entry so such cases survive
 /// analysis unharmed.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct LabelStack(Vec<Lse>);
+///
+/// Up to [`LabelStack::INLINE`] entries live inline, so the common
+/// stacks cost no heap allocation to build or clone; deeper stacks
+/// spill to the heap. The type is no larger than a `Vec<Lse>`, and
+/// equality and hashing see only the entries, never the storage.
+#[derive(Clone)]
+pub struct LabelStack(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `entries[..len]` is the stack; the rest is padding.
+    Inline { len: u8, entries: [Lse; LabelStack::INLINE] },
+    /// More than [`LabelStack::INLINE`] entries.
+    Heap(Box<[Lse]>),
+}
+
+/// Filler for unused inline slots.
+const PAD: Lse = Lse::from_u32(0);
 
 impl LabelStack {
+    /// Entries stored without a heap allocation.
+    pub const INLINE: usize = 2;
+
     /// An empty stack (an unlabelled hop).
-    pub fn empty() -> Self {
-        LabelStack(Vec::new())
+    pub const fn empty() -> Self {
+        LabelStack(Repr::Inline { len: 0, entries: [PAD; Self::INLINE] })
     }
 
     /// Builds a stack from entries, outermost first.
     pub fn from_entries(entries: &[Lse]) -> Self {
-        LabelStack(entries.to_vec())
+        if entries.len() > Self::INLINE {
+            return LabelStack(Repr::Heap(entries.into()));
+        }
+        let mut inline = [PAD; Self::INLINE];
+        inline[..entries.len()].copy_from_slice(entries);
+        LabelStack(Repr::Inline { len: entries.len() as u8, entries: inline })
     }
 
     /// Number of entries.
     pub fn depth(&self) -> usize {
-        self.0.len()
+        self.entries().len()
     }
 
     /// True if the stack has no entries.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.entries().is_empty()
     }
 
     /// The outermost (top, forwarding) entry.
     pub fn top(&self) -> Option<&Lse> {
-        self.0.first()
+        self.entries().first()
     }
 
     /// All entries, outermost first.
     pub fn entries(&self) -> &[Lse] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { len, entries } => &entries[..*len as usize],
+            Repr::Heap(entries) => entries,
+        }
     }
 
     /// Pushes a new outermost entry.
     pub fn push(&mut self, lse: Lse) {
-        self.0.insert(0, lse);
+        if let Repr::Inline { len, entries } = &mut self.0 {
+            let n = *len as usize;
+            if n < Self::INLINE {
+                entries.copy_within(..n, 1);
+                entries[0] = lse;
+                *len += 1;
+                return;
+            }
+        }
+        let mut grown = Vec::with_capacity(self.depth() + 1);
+        grown.push(lse);
+        grown.extend_from_slice(self.entries());
+        self.0 = Repr::Heap(grown.into_boxed_slice());
     }
 
     /// Pops the outermost entry.
     pub fn pop(&mut self) -> Option<Lse> {
-        if self.0.is_empty() {
-            None
-        } else {
-            Some(self.0.remove(0))
-        }
+        let (&top, rest) = self.entries().split_first()?;
+        *self = LabelStack::from_entries(rest);
+        Some(top)
     }
 
     /// Swaps the outermost label in place, keeping TC/S/TTL.
     pub fn swap_top(&mut self, label: Label) {
-        if let Some(top) = self.0.first_mut() {
+        let entries = match &mut self.0 {
+            Repr::Inline { len, entries } => &mut entries[..*len as usize],
+            Repr::Heap(entries) => &mut entries[..],
+        };
+        if let Some(top) = entries.first_mut() {
             top.label = label;
         }
     }
@@ -200,14 +241,35 @@ impl LabelStack {
     /// first. This is the signature LPR compares: TTLs obviously differ
     /// hop to hop and say nothing about the FEC.
     pub fn label_values(&self) -> Vec<Label> {
-        self.0.iter().map(|l| l.label).collect()
+        self.entries().iter().map(|l| l.label).collect()
+    }
+}
+
+impl Default for LabelStack {
+    fn default() -> Self {
+        LabelStack::empty()
+    }
+}
+
+impl PartialEq for LabelStack {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl Eq for LabelStack {}
+
+impl std::hash::Hash for LabelStack {
+    /// Hashes exactly as the entry slice (and so as a `Vec<Lse>`) does.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.entries().hash(state);
     }
 }
 
 impl fmt::Debug for LabelStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, l) in self.0.iter().enumerate() {
+        for (i, l) in self.entries().iter().enumerate() {
             if i > 0 {
                 write!(f, "|")?;
             }
@@ -219,7 +281,23 @@ impl fmt::Debug for LabelStack {
 
 impl FromIterator<Lse> for LabelStack {
     fn from_iter<T: IntoIterator<Item = Lse>>(iter: T) -> Self {
-        LabelStack(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let mut inline = [PAD; Self::INLINE];
+        for (n, slot) in inline.iter_mut().enumerate() {
+            match iter.next() {
+                Some(lse) => *slot = lse,
+                None => return LabelStack(Repr::Inline { len: n as u8, entries: inline }),
+            }
+        }
+        match iter.next() {
+            None => LabelStack(Repr::Inline { len: Self::INLINE as u8, entries: inline }),
+            Some(lse) => {
+                let mut spilled = inline.to_vec();
+                spilled.push(lse);
+                spilled.extend(iter);
+                LabelStack(Repr::Heap(spilled.into_boxed_slice()))
+            }
+        }
     }
 }
 
@@ -288,4 +366,67 @@ mod tests {
         assert_eq!(a.label_values(), b.label_values());
         assert_ne!(a, b);
     }
+    #[test]
+    fn stack_is_no_larger_than_a_vec() {
+        assert!(std::mem::size_of::<LabelStack>() <= std::mem::size_of::<Vec<Lse>>());
+    }
+
+    /// Reference model: a plain `Vec<Lse>`, outermost entry first.
+    fn model_push(v: &mut Vec<Lse>, lse: Lse) {
+        v.insert(0, lse);
+    }
+
+    fn hash_of<T: std::hash::Hash>(t: &T) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(t)
+    }
+
+    #[test]
+    fn ops_agree_with_a_vec_across_the_inline_boundary() {
+        let mut s = LabelStack::empty();
+        let mut v: Vec<Lse> = Vec::new();
+        // Grow through the inline capacity into the heap and back.
+        for i in 0..(LabelStack::INLINE as u32 + 3) {
+            let lse = Lse::new(Label::new(100 + i), (i % 8) as u8, i == 0, 250 - i as u8);
+            s.push(lse);
+            model_push(&mut v, lse);
+            assert_eq!(s.entries(), &v[..], "after push {i}");
+            assert_eq!(s.depth(), v.len());
+            assert_eq!(s.top(), v.first());
+            assert_eq!(s.label_values(), v.iter().map(|l| l.label).collect::<Vec<_>>());
+            assert_eq!(hash_of(&s), hash_of(&v), "hash equals the Vec hash at depth {}", v.len());
+            let rebuilt = LabelStack::from_entries(&v);
+            assert_eq!(rebuilt, s);
+            assert_eq!(hash_of(&rebuilt), hash_of(&s));
+            assert_eq!(v.iter().copied().collect::<LabelStack>(), s);
+
+            let mut swapped = s.clone();
+            swapped.swap_top(Label::new(7));
+            let mut sv = v.clone();
+            sv[0].label = Label::new(7);
+            assert_eq!(swapped.entries(), &sv[..]);
+            assert_ne!(swapped, s);
+        }
+        while let Some(top) = s.pop() {
+            assert_eq!(top, v.remove(0));
+            assert_eq!(s.entries(), &v[..]);
+            assert_eq!(hash_of(&s), hash_of(&v));
+        }
+        assert!(v.is_empty());
+        assert_eq!(s, LabelStack::empty());
+        assert_eq!(hash_of(&s), hash_of(&LabelStack::default()));
+    }
+
+    #[test]
+    fn equality_ignores_storage() {
+        // A stack popped back down from the heap equals one built inline.
+        let deep: LabelStack = (0..5).map(|i| Lse::transit(16 + i, 9)).collect();
+        let mut shrunk = deep.clone();
+        for _ in 0..3 {
+            shrunk.pop();
+        }
+        assert_eq!(shrunk, LabelStack::from_entries(&deep.entries()[3..]));
+        assert_ne!(shrunk, deep);
+    }
 }
+

@@ -193,6 +193,22 @@ mod tests {
     }
 
     #[test]
+    fn stack_depth_limit_holds_past_the_inline_capacity() {
+        // Both sides of the limit sit far beyond the stack's inline
+        // capacity, so the heap-spilled representation is what is checked.
+        let mut t = valid_trace();
+        let at_limit: Vec<Lse> =
+            (0..MAX_QUOTED_STACK_DEPTH as u32).map(|i| Lse::transit(16 + i, 254)).collect();
+        t.hops[1] = Hop::labelled(3, ip(3), &at_limit);
+        assert_eq!(validate_trace(&t), Ok(()));
+        let mut over = t.hops[1].stack.clone();
+        over.push(Lse::transit(99, 254));
+        assert_eq!(over.depth(), 33);
+        t.hops[1].stack = over;
+        assert_eq!(validate_trace(&t), Err(QuarantineReason::ExcessStackDepth));
+    }
+
+    #[test]
     fn too_many_hops_is_caught() {
         let mut t = Trace::new(ip(1), ip(200));
         t.hops = (0..300u32).map(|i| Hop::anonymous((i % 250 + 1) as u8)).collect();

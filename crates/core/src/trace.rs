@@ -160,6 +160,20 @@ mod tests {
     }
 
     #[test]
+    fn hop_is_no_larger_than_with_a_vec_stack() {
+        // Campaign generation holds every trace of a cycle in memory, so
+        // the inline label stack must never grow a hop.
+        #[allow(dead_code)]
+        struct VecHop {
+            probe_ttl: u8,
+            addr: Option<Ipv4Addr>,
+            rtt_us: u32,
+            stack: Vec<Lse>,
+        }
+        assert!(std::mem::size_of::<Hop>() <= std::mem::size_of::<VecHop>());
+    }
+
+    #[test]
     fn responsive_iter_skips_anonymous() {
         let mut t = Trace::new(ip(100), ip(200));
         t.push_hop(Hop::responsive(1, ip(1)));

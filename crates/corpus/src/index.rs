@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use warts::{Addr, Record, RecordSpan, SkipReason, WartsStreamReader};
+use warts::{Addr, RecordSpan, RecordType, SkipReason, WartsStreamReader};
 
 /// Magic prefix of a serialized index.
 pub const INDEX_MAGIC: [u8; 4] = *b"LPRX";
@@ -63,24 +63,17 @@ impl RecordIndex {
     /// malformed content lands in the skip tallies, exactly as the
     /// lenient streaming decoder reports it.
     pub fn build(bytes: &[u8]) -> Self {
-        let mut reader = WartsStreamReader::new(bytes).lenient().elide_unsupported_bodies();
+        // Validation only: trace bodies are walked, never materialised.
+        let mut reader = WartsStreamReader::new(bytes).lenient();
         let mut records = Vec::new();
         let mut traces = 0u64;
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => {
-                    if let Some(span) = reader.last_record_span() {
-                        records.push(span);
-                    }
-                    if matches!(rec, Record::Trace(_)) {
-                        traces += 1;
-                    }
-                }
-                Ok(None) => break,
-                // Lenient over in-memory bytes cannot error; stop
-                // indexing defensively if it ever does.
-                Err(_) => break,
+        // Lenient over in-memory bytes cannot error; stop indexing
+        // defensively if it ever does.
+        while let Ok(Some(span)) = reader.next_span() {
+            if span.record_type == RecordType::Trace as u16 {
+                traces += 1;
             }
+            records.push(span);
         }
         let mut skip_counts = [0u64; SkipReason::ALL.len()];
         for (slot, reason) in skip_counts.iter_mut().zip(SkipReason::ALL) {

@@ -5,8 +5,8 @@
 //! front half): it cuts every file's record index into contiguous
 //! [`RangeTask`]s and maps them over [`lpr_par::map_shards`]. Each
 //! task decodes its trace records straight out of the file mapping
-//! (against a preload of the file's full address dictionary), converts
-//! and filters them **one at a time** through a
+//! into one reused [`Trace`] (against a borrow of the file's full
+//! address dictionary) and filters them **one at a time** through a
 //! [`CycleAccumulator`], and hands back an owned [`IngestState`];
 //! merging the states in task order reproduces the sequential ingest
 //! exactly. Peak memory is the surviving LSPs plus one record body per
@@ -23,7 +23,8 @@ use lpr_core::tunnel::RawTunnel;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
-use warts::{decode_record_body, Record, RecordType};
+use std::net::Ipv4Addr;
+use warts::{decode_trace_into, Decoded, RecordType};
 
 /// How the ingest shards its work.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +80,10 @@ fn shard_opts(threads: usize) -> lpr_par::ShardOptions {
 
 /// Decodes the trace records of one task and feeds each to `push`.
 /// Returns `(convert_failures, decode_errors)`.
+///
+/// Each record is decoded once, straight from the mapping into one
+/// reused [`Trace`], against a borrow of the file's dictionary: the
+/// steady state allocates nothing per trace.
 fn decode_task(
     corpus: &Corpus,
     task: &RangeTask,
@@ -90,7 +95,8 @@ fn decode_task(
     // record can carry resolves below the preload, so range-local
     // decode equals sequential decode (embed-form occurrences append
     // duplicates past it, which nothing references).
-    let mut addrs = warts::AddrTableReader::from_table(file.index.addr_table.clone());
+    let mut addrs = warts::AddrTableReader::preloaded(&file.index.addr_table);
+    let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
     let mut convert_failures = 0u64;
     let mut decode_errors = 0u64;
     for span in &file.index.records[task.start..task.end] {
@@ -99,13 +105,10 @@ fn decode_task(
         }
         let start = span.offset as usize + 8;
         let body = &bytes[start..start + span.body_len as usize];
-        match decode_record_body(span.record_type, body, &mut addrs) {
-            Ok(Record::Trace(rec)) => match warts::trace_to_core(&rec) {
-                Ok(Some(trace)) => push(&trace),
-                Ok(None) => {} // non-IPv4, outside the paper's dataset
-                Err(_) => convert_failures += 1,
-            },
-            Ok(_) => {}
+        match decode_trace_into(body, &mut addrs, &mut trace) {
+            Ok(Decoded::Trace) => push(&trace),
+            Ok(Decoded::NotIpv4) => {} // outside the paper's dataset
+            Ok(Decoded::ConvertFailed(_)) => convert_failures += 1,
             // The index only records successful decodes, so this is
             // unreachable in practice; counted, not fatal.
             Err(_) => decode_errors += 1,

@@ -51,43 +51,51 @@ impl From<Ipv6Addr> for Addr {
 }
 
 /// Reader-side address table.
+///
+/// Ids below the length of a borrowed *base* resolve into it; every
+/// address learned while reading is appended to a local table after it.
+/// A fresh reader has an empty base; [`AddrTableReader::preloaded`]
+/// borrows a file's whole dictionary instead of copying it.
 #[derive(Clone, Debug, Default)]
-pub struct AddrTableReader {
-    table: Vec<Addr>,
+pub struct AddrTableReader<'a> {
+    base: &'a [Addr],
+    learned: Vec<Addr>,
 }
 
-impl AddrTableReader {
+impl AddrTableReader<'static> {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<'a> AddrTableReader<'a> {
     /// A table preloaded with a file's full dictionary, in table-id
     /// order (as captured by [`AddrTableReader::snapshot`] at the end
-    /// of a sequential pass).
+    /// of a sequential pass), borrowed rather than copied.
     ///
     /// Re-decoding any record of the same file against the preloaded
     /// table yields the addresses the sequential decode saw: reference
     /// ids always resolve (the full table is a superset of every
     /// prefix), and embed-form occurrences append duplicates past the
     /// preload, which nothing references.
-    pub fn from_table(table: Vec<Addr>) -> Self {
-        AddrTableReader { table }
+    pub fn preloaded(base: &'a [Addr]) -> Self {
+        AddrTableReader { base, learned: Vec::new() }
     }
 
     /// The dictionary learned so far, in table-id order.
     pub fn snapshot(&self) -> Vec<Addr> {
-        self.table.clone()
+        [self.base, &self.learned].concat()
     }
 
     /// Number of addresses learned so far.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.base.len() + self.learned.len()
     }
 
     /// True when no address has been learned.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.len() == 0
     }
 
     /// Decodes one address parameter, updating the table on first
@@ -96,11 +104,12 @@ impl AddrTableReader {
         let len = cur.u8("address length")?;
         if len == 0 {
             let id = cur.u32("address id")?;
-            return self
-                .table
-                .get(id as usize)
-                .copied()
-                .ok_or(WartsError::UnknownAddrId { id });
+            let id = id as usize;
+            let found = match id.checked_sub(self.base.len()) {
+                None => self.base.get(id),
+                Some(local) => self.learned.get(local),
+            };
+            return found.copied().ok_or(WartsError::UnknownAddrId { id: id as u32 });
         }
         let type_code = cur.u8("address type")?;
         let addr = match (type_code, len) {
@@ -116,7 +125,7 @@ impl AddrTableReader {
             }
             _ => return Err(WartsError::BadAddrType { type_code, len }),
         };
-        self.table.push(addr);
+        self.learned.push(addr);
         Ok(addr)
     }
 }
@@ -232,5 +241,31 @@ mod tests {
         let mut r = AddrTableReader::new();
         r.read(&mut Cursor::new(&rec1)).unwrap();
         assert_eq!(r.read(&mut Cursor::new(&rec2)).unwrap(), a);
+    }
+
+    #[test]
+    fn borrowed_preload_resolves_below_and_learns_above() {
+        let a: Addr = Ipv4Addr::new(192, 0, 2, 1).into();
+        let b: Addr = Ipv4Addr::new(192, 0, 2, 2).into();
+        let c: Addr = Ipv4Addr::new(192, 0, 2, 3).into();
+        let mut w = AddrTableWriter::new();
+        for addr in [a, b] {
+            w.write(&mut BytesMut::new(), addr);
+        }
+        let mut buf = BytesMut::new();
+        w.write(&mut buf, c); // embedded: id 2
+        w.write(&mut buf, b); // reference into the preload
+        w.write(&mut buf, c); // reference past it
+        buf.put_u8(0);
+        buf.put_u32(3); // dangling
+        let dict = [a, b];
+        let mut r = AddrTableReader::preloaded(&dict);
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(r.read(&mut cur), Ok(c));
+        assert_eq!(r.read(&mut cur), Ok(b));
+        assert_eq!(r.read(&mut cur), Ok(c));
+        assert_eq!(r.read(&mut cur), Err(WartsError::UnknownAddrId { id: 3 }));
+        assert_eq!(r.snapshot(), vec![a, b, c]);
+        assert_eq!(r.len(), 3);
     }
 }

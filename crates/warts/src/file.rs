@@ -36,6 +36,63 @@ pub enum RecordType {
     Ping = 0x07,
 }
 
+impl RecordType {
+    /// The record type for a header's type code, if this crate decodes
+    /// it.
+    pub fn from_code(code: u16) -> Option<Self> {
+        [
+            RecordType::List,
+            RecordType::CycleStart,
+            RecordType::CycleDef,
+            RecordType::CycleStop,
+            RecordType::Trace,
+            RecordType::Ping,
+        ]
+        .into_iter()
+        .find(|t| *t as u16 == code)
+    }
+}
+
+/// Decodes one record body. With `keep_unsupported` an unsupported
+/// record's bytes are copied so they can be preserved for inspection;
+/// without it the body stays empty and nothing is copied at all.
+pub(crate) fn decode_body(
+    record_type: u16,
+    body: &[u8],
+    addrs: &mut AddrTableReader,
+    keep_unsupported: bool,
+) -> Result<Record, WartsError> {
+    let mut cur = Cursor::new(body);
+    let record = match RecordType::from_code(record_type) {
+        Some(RecordType::List) => Record::List(ListRecord::read(&mut cur)?),
+        Some(RecordType::CycleStart | RecordType::CycleDef) => {
+            Record::CycleStart(CycleRecord::read(&mut cur)?)
+        }
+        Some(RecordType::CycleStop) => Record::CycleStop(CycleStopRecord::read(&mut cur)?),
+        Some(RecordType::Trace) => Record::Trace(TraceRecord::read(&mut cur, addrs)?),
+        Some(RecordType::Ping) => Record::Ping(PingRecord::read(&mut cur, addrs)?),
+        None => {
+            let body = if keep_unsupported { body.to_vec() } else { Vec::new() };
+            return Ok(Record::Unsupported { record_type, body });
+        }
+    };
+    check_consumed(&cur, record_type, body.len())?;
+    Ok(record)
+}
+
+/// A record body must be consumed exactly.
+pub(crate) fn check_consumed(
+    cur: &Cursor<'_>,
+    record_type: u16,
+    declared: usize,
+) -> Result<(), WartsError> {
+    if cur.is_empty() {
+        Ok(())
+    } else {
+        Err(WartsError::LengthMismatch { record_type, declared, consumed: cur.position() })
+    }
+}
+
 /// One decoded record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
@@ -67,7 +124,7 @@ pub enum Record {
 pub struct WartsReader<'a> {
     data: &'a [u8],
     pos: usize,
-    addrs: AddrTableReader,
+    addrs: AddrTableReader<'static>,
     failed: bool,
 }
 
@@ -96,34 +153,13 @@ impl<'a> WartsReader<'a> {
         })?;
         self.pos += 8 + len;
 
-        let mut bcur = Cursor::new(body);
-        let record = match record_type {
-            x if x == RecordType::List as u16 => Record::List(ListRecord::read(&mut bcur)?),
-            x if x == RecordType::CycleStart as u16 || x == RecordType::CycleDef as u16 => {
-                Record::CycleStart(CycleRecord::read(&mut bcur)?)
-            }
-            x if x == RecordType::CycleStop as u16 => {
-                Record::CycleStop(CycleStopRecord::read(&mut bcur)?)
-            }
-            x if x == RecordType::Trace as u16 => {
-                Record::Trace(TraceRecord::read(&mut bcur, &mut self.addrs)?)
-            }
-            x if x == RecordType::Ping as u16 => {
-                Record::Ping(PingRecord::read(&mut bcur, &mut self.addrs)?)
-            }
-            other => {
-                return Ok(Some(Record::Unsupported { record_type: other, body: body.to_vec() }))
-            }
-        };
-        if !bcur.is_empty() {
-            self.failed = true;
-            return Err(WartsError::LengthMismatch {
-                record_type,
-                declared: len,
-                consumed: bcur.position(),
-            });
-        }
-        Ok(Some(record))
+        decode_body(record_type, body, &mut self.addrs, true)
+            .inspect_err(|e| {
+                if matches!(e, WartsError::LengthMismatch { .. }) {
+                    self.failed = true;
+                }
+            })
+            .map(Some)
     }
 
     /// Reads every remaining trace record, skipping list/cycle records.

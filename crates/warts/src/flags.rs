@@ -18,10 +18,23 @@ use crate::buf::Cursor;
 use crate::error::WartsError;
 use bytes::{BufMut, BytesMut};
 
-/// A decoded flag set.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Flags a [`FlagSet`] stores exactly: 1 through 63, nine bitfield
+/// bytes. Every record type defines fewer (traces stop at 29).
+const CAPACITY: u16 = 63;
+
+/// A decoded flag set, stored inline (no allocation).
+///
+/// Flags `1..=63` are kept exactly. Of the flags past that, which no
+/// record type defines, only the first is kept: decoders reject a
+/// record at its first unknown flag, and flags iterate in increasing
+/// order, so that one flag fails the record at the same point the full
+/// bitfield would.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlagSet {
-    bits: Vec<u8>, // 7 usable bits per element, continuation bit stripped
+    /// Bit `n - 1` is flag `n`.
+    mask: u64,
+    /// The first set flag past [`CAPACITY`] (saturating at `u16::MAX`).
+    overflow: Option<u16>,
 }
 
 impl FlagSet {
@@ -30,78 +43,76 @@ impl FlagSet {
         FlagSet::default()
     }
 
-    /// Sets 1-based flag `n`.
+    /// Sets 1-based flag `n` (at most 63: no record type defines more).
     pub fn set(&mut self, n: u16) {
-        assert!(n >= 1, "flags are 1-based");
-        let byte = ((n - 1) / 7) as usize;
-        let bit = ((n - 1) % 7) as u8;
-        if self.bits.len() <= byte {
-            self.bits.resize(byte + 1, 0);
-        }
-        self.bits[byte] |= 1 << bit;
+        assert!((1..=CAPACITY).contains(&n), "flag {n} outside 1..={CAPACITY}");
+        self.mask |= 1 << (n - 1);
     }
 
     /// Tests 1-based flag `n`.
     pub fn is_set(&self, n: u16) -> bool {
-        if n == 0 {
-            return false;
+        match n {
+            0 => false,
+            1..=CAPACITY => self.mask & (1 << (n - 1)) != 0,
+            _ => self.overflow == Some(n),
         }
-        let byte = ((n - 1) / 7) as usize;
-        let bit = ((n - 1) % 7) as u8;
-        self.bits.get(byte).is_some_and(|b| b & (1 << bit) != 0)
     }
 
     /// True when no flag is set.
     pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&b| b == 0)
+        self.mask == 0 && self.overflow.is_none()
     }
 
-    /// Unsets every flag, keeping the allocation.
+    /// Unsets every flag.
     pub fn clear(&mut self) {
-        self.bits.clear();
+        *self = FlagSet::default();
     }
 
     /// Decodes a flag bitfield (not the parameter length) from a cursor.
     pub fn read(cur: &mut Cursor<'_>) -> Result<Self, WartsError> {
-        let mut bits = Vec::new();
+        let mut flags = FlagSet::default();
+        let mut byte = 0usize;
         loop {
             let b = cur.u8("flag byte")?;
-            bits.push(b & 0x7f);
+            let bits = b & 0x7f;
+            let first = byte * 7; // flag number of bit 0, minus one
+            if first < CAPACITY as usize {
+                flags.mask |= (bits as u64) << first;
+            } else if bits != 0 && flags.overflow.is_none() {
+                let n = first + bits.trailing_zeros() as usize + 1;
+                flags.overflow = Some(n.min(u16::MAX as usize) as u16);
+            }
             if b & 0x80 == 0 {
                 break;
             }
+            byte += 1;
         }
-        Ok(FlagSet { bits })
+        Ok(flags)
     }
 
     /// Encodes the flag bitfield into `buf`.
     pub fn write(&self, buf: &mut BytesMut) {
-        if self.bits.is_empty() {
-            buf.put_u8(0);
-            return;
-        }
-        // Trim trailing zero bytes but always emit at least one byte.
-        let mut last = self.bits.len();
-        while last > 1 && self.bits[last - 1] == 0 {
-            last -= 1;
-        }
-        for (i, &b) in self.bits[..last].iter().enumerate() {
-            let cont = if i + 1 < last { 0x80 } else { 0 };
-            buf.put_u8(b | cont);
+        debug_assert!(self.overflow.is_none(), "only decoded sets carry unknown flags");
+        // One byte per 7 flags up to the highest set flag, at least one.
+        let bytes = (64 - self.mask.leading_zeros()).div_ceil(7).max(1);
+        for i in 0..bytes {
+            let cont = if i + 1 < bytes { 0x80 } else { 0 };
+            buf.put_u8(((self.mask >> (i * 7)) & 0x7f) as u8 | cont);
         }
     }
 
     /// Iterates over the set flag numbers in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u16> + '_ {
-        self.bits.iter().enumerate().flat_map(|(byte, &b)| {
-            (0..7u16).filter_map(move |bit| {
-                if b & (1 << bit) != 0 {
-                    Some(byte as u16 * 7 + bit + 1)
-                } else {
-                    None
-                }
-            })
-        })
+    pub fn iter(&self) -> impl Iterator<Item = u16> {
+        let mut mask = self.mask;
+        let known = std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let bit = mask.trailing_zeros() as u16;
+            mask &= mask - 1;
+            Some(bit + 1)
+        });
+        known.chain(self.overflow)
     }
 }
 
@@ -256,5 +267,35 @@ mod tests {
         assert!(params.is_empty());
         // Outer cursor sits right after the param block.
         assert_eq!(c.u8("tail").unwrap(), 0xFF);
+    }
+
+    #[test]
+    fn flags_past_the_inline_capacity_keep_the_first_unknown() {
+        // Byte 0: flag 2. Bytes 1-10: empty. Byte 11: flags 78 and 79.
+        let mut wire = vec![0x82];
+        wire.extend([0x80; 10]);
+        wire.push(0x03);
+        let mut c = Cursor::new(&wire);
+        let f = FlagSet::read(&mut c).unwrap();
+        assert!(c.is_empty(), "every continuation byte consumed");
+        assert!(!f.is_empty());
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![2, 78], "first unknown flag only");
+        assert!(f.is_set(78));
+
+        // Continuation bytes carrying no flag leave the set empty.
+        let mut wire = vec![0x80; 15];
+        wire.push(0);
+        assert!(FlagSet::read(&mut Cursor::new(&wire)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn highest_inline_flag_roundtrips() {
+        let mut f = FlagSet::new();
+        f.set(1);
+        f.set(63);
+        let mut b = BytesMut::new();
+        f.write(&mut b);
+        assert_eq!(b.len(), 9);
+        assert_eq!(FlagSet::read(&mut Cursor::new(&b)).unwrap(), f);
     }
 }

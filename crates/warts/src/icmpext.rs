@@ -46,6 +46,36 @@ impl IcmpExt {
         IcmpExt { class: MPLS_EXT_CLASS, kind: MPLS_EXT_TYPE, data }
     }
 
+    /// This object, borrowed.
+    pub(crate) fn view(&self) -> IcmpExtRef<'_> {
+        IcmpExtRef { class: self.class, kind: self.kind, data: &self.data }
+    }
+
+    /// Whether this object is an RFC 4950 MPLS label stack.
+    pub fn is_mpls(&self) -> bool {
+        self.view().is_mpls()
+    }
+
+    /// Decodes the MPLS label stack carried by this object, if it is
+    /// one. Returns an error when the payload length is not a multiple
+    /// of four.
+    pub fn mpls_stack(&self) -> Result<Option<LabelStack>, WartsError> {
+        self.view().mpls_stack()
+    }
+}
+
+/// One ICMP extension object borrowed from a record body.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct IcmpExtRef<'a> {
+    /// Extension class number.
+    pub class: u8,
+    /// Extension type number.
+    pub kind: u8,
+    /// Raw object payload.
+    pub data: &'a [u8],
+}
+
+impl IcmpExtRef<'_> {
     /// Whether this object is an RFC 4950 MPLS label stack.
     pub fn is_mpls(&self) -> bool {
         self.class == MPLS_EXT_CLASS && self.kind == MPLS_EXT_TYPE
@@ -70,6 +100,61 @@ impl IcmpExt {
     }
 }
 
+impl From<IcmpExtRef<'_>> for IcmpExt {
+    fn from(ext: IcmpExtRef<'_>) -> Self {
+        IcmpExt { class: ext.class, kind: ext.kind, data: ext.data.to_vec() }
+    }
+}
+
+/// A hop's ICMP extension parameter, validated and borrowed from the
+/// record body. [`IcmpExtBlock::iter`] walks its objects.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct IcmpExtBlock<'a> {
+    /// The objects, back to back (the parameter minus its total length).
+    objects: &'a [u8],
+}
+
+impl<'a> IcmpExtBlock<'a> {
+    /// Reads the warts hop parameter, checking that its objects tile it
+    /// exactly.
+    pub fn read(cur: &mut Cursor<'a>) -> Result<Self, WartsError> {
+        let total = cur.u16("icmpext total length")? as usize;
+        let objects = cur.bytes(total, "icmpext block")?;
+        let mut inner = Cursor::new(objects);
+        while !inner.is_empty() {
+            let dl = inner.u16("icmpext data length")? as usize;
+            inner.u8("icmpext class")?;
+            inner.u8("icmpext type")?;
+            inner.bytes(dl, "icmpext data")?;
+        }
+        Ok(IcmpExtBlock { objects })
+    }
+
+    /// The objects, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = IcmpExtRef<'a>> {
+        let mut rest = self.objects;
+        std::iter::from_fn(move || {
+            // `read` checked that the objects tile the block.
+            let (head, tail) = rest.split_first_chunk::<4>()?;
+            let dl = u16::from_be_bytes([head[0], head[1]]) as usize;
+            let (data, tail) = tail.split_at(dl);
+            rest = tail;
+            Some(IcmpExtRef { class: head[2], kind: head[3], data })
+        })
+    }
+
+    /// How many objects are not RFC 4950 MPLS stacks.
+    pub fn count_non_mpls(&self) -> u64 {
+        self.iter().filter(|e| !e.is_mpls()).count() as u64
+    }
+
+    /// The first MPLS label stack among the objects, if any (see
+    /// [`mpls_stack_of`]).
+    pub fn mpls_stack(&self) -> Result<Option<LabelStack>, WartsError> {
+        first_mpls_stack(self.iter())
+    }
+}
+
 /// Encodes a list of extension objects as the warts hop parameter.
 pub fn write_exts(buf: &mut BytesMut, exts: &[IcmpExt]) {
     let total: usize = exts.iter().map(|e| 4 + e.data.len()).sum();
@@ -84,29 +169,21 @@ pub fn write_exts(buf: &mut BytesMut, exts: &[IcmpExt]) {
 
 /// Decodes the warts hop parameter into extension objects.
 pub fn read_exts(cur: &mut Cursor<'_>) -> Result<Vec<IcmpExt>, WartsError> {
-    let total = cur.u16("icmpext total length")? as usize;
-    let block = cur.bytes(total, "icmpext block")?;
-    let mut inner = Cursor::new(block);
-    let mut exts = Vec::new();
-    while !inner.is_empty() {
-        let dl = inner.u16("icmpext data length")? as usize;
-        let class = inner.u8("icmpext class")?;
-        let kind = inner.u8("icmpext type")?;
-        let data = inner.bytes(dl, "icmpext data")?.to_vec();
-        exts.push(IcmpExt { class, kind, data });
-    }
-    Ok(exts)
+    Ok(IcmpExtBlock::read(cur)?.iter().map(IcmpExt::from).collect())
 }
 
 /// Convenience: the first MPLS label stack found among extension
 /// objects, if any.
 pub fn mpls_stack_of(exts: &[IcmpExt]) -> Result<Option<LabelStack>, WartsError> {
-    for e in exts {
-        if let Some(stack) = e.mpls_stack()? {
-            return Ok(Some(stack));
-        }
-    }
-    Ok(None)
+    first_mpls_stack(exts.iter().map(IcmpExt::view))
+}
+
+/// The first MPLS object decides: a malformed one is an error even if
+/// a well-formed one follows.
+fn first_mpls_stack<'a>(
+    mut exts: impl Iterator<Item = IcmpExtRef<'a>>,
+) -> Result<Option<LabelStack>, WartsError> {
+    exts.find(IcmpExtRef::is_mpls).map_or(Ok(None), |ext| ext.mpls_stack())
 }
 
 #[cfg(test)]

@@ -22,12 +22,11 @@
 
 use crate::addr::AddrTableReader;
 use crate::buf::Cursor;
-use crate::cycle::{CycleRecord, CycleStopRecord};
+use crate::convert::{decode_trace_counted, Decoded};
 use crate::error::WartsError;
-use crate::file::{Record, RecordType, WARTS_MAGIC};
-use crate::list::ListRecord;
-use crate::ping::PingRecord;
-use crate::trace::TraceRecord;
+use crate::file::{check_consumed, decode_body, Record, RecordType, WARTS_MAGIC};
+use crate::trace::TraceBody;
+use lpr_core::trace::Trace;
 use lpr_obs::{Counter, Registry};
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -213,23 +212,29 @@ impl StreamMetrics {
         }
     }
 
-    fn observe(&self, wire_len: usize, record: &Record) {
+    /// Tallies one decoded record carrying `unknown_exts` non-MPLS ICMP
+    /// extension objects.
+    fn observe(&self, wire_len: usize, record_type: u16, unknown_exts: u64) {
         self.records.inc();
         self.bytes.add(wire_len as u64);
-        match record {
-            Record::Trace(t) => {
-                self.traces.inc();
-                for hop in &t.hops {
-                    for ext in &hop.icmp_exts {
-                        if !ext.is_mpls() {
-                            self.unknown_icmp_ext.inc();
-                        }
-                    }
-                }
-            }
-            Record::Unsupported { .. } => self.unsupported.inc(),
+        match RecordType::from_code(record_type) {
+            Some(RecordType::Trace) => self.traces.inc(),
+            None => self.unsupported.inc(),
             _ => {}
         }
+        if unknown_exts > 0 {
+            self.unknown_icmp_ext.add(unknown_exts);
+        }
+    }
+}
+
+/// Non-MPLS ICMP extension objects across a record's hops.
+fn unknown_exts_of(record: &Record) -> u64 {
+    match record {
+        Record::Trace(t) => {
+            t.hops.iter().flat_map(|h| &h.icmp_exts).filter(|e| !e.is_mpls()).count() as u64
+        }
+        _ => 0,
     }
 }
 
@@ -259,7 +264,7 @@ impl RecordSpan {
 /// A record-at-a-time reader over any byte source.
 pub struct WartsStreamReader<R: Read> {
     source: R,
-    addrs: AddrTableReader,
+    addrs: AddrTableReader<'static>,
     offset: usize,
     failed: bool,
     metrics: Option<StreamMetrics>,
@@ -508,6 +513,73 @@ impl<R: Read> WartsStreamReader<R> {
 
     /// Reads the next record; `Ok(None)` at a clean end of stream.
     pub fn next_record(&mut self) -> Result<Option<Record>, StreamError> {
+        let keep_unsupported = !self.elide_unsupported;
+        self.next_frame(|record_type, body, addrs| {
+            let record = decode_body(record_type, body, addrs, keep_unsupported)?;
+            let unknown_exts = unknown_exts_of(&record);
+            Ok((record, unknown_exts))
+        })
+    }
+
+    /// Reads records up to the next trace and decodes it straight into
+    /// `trace` with [`crate::decode_trace_into`]; `Ok(None)` at a clean
+    /// end of stream. Records of other types are decoded and dropped,
+    /// so skips, address learning, spans and metrics are exactly those
+    /// of [`WartsStreamReader::next_record`]. Unless the result is
+    /// `Ok(Some(Decoded::Trace))`, the contents of `trace` are
+    /// unspecified.
+    pub fn next_trace_into(&mut self, trace: &mut Trace) -> Result<Option<Decoded>, StreamError> {
+        loop {
+            let step = self.next_frame(|record_type, body, addrs| {
+                if record_type == RecordType::Trace as u16 {
+                    let (decoded, unknown_exts) = decode_trace_counted(body, addrs, trace)?;
+                    return Ok((Some(decoded), unknown_exts));
+                }
+                decode_body(record_type, body, addrs, false).map(|_| (None, 0))
+            })?;
+            match step {
+                None => return Ok(None),
+                Some(Some(decoded)) => return Ok(Some(decoded)),
+                Some(None) => {}
+            }
+        }
+    }
+
+    /// Validates the next record without building it and returns its
+    /// span; `Ok(None)` at a clean end of stream. Trace bodies are
+    /// walked, not materialised; other record types are decoded and
+    /// dropped. Skips, address learning, spans and metrics are exactly
+    /// those of [`WartsStreamReader::next_record`]; this is how the
+    /// record index is built.
+    pub fn next_span(&mut self) -> Result<Option<RecordSpan>, StreamError> {
+        let valid = self.next_frame(|record_type, body, addrs| {
+            if record_type == RecordType::Trace as u16 {
+                let mut cur = Cursor::new(body);
+                let mut walk = TraceBody::open(&mut cur, addrs)?;
+                let mut unknown_exts = 0u64;
+                while let Some(hop) = walk.next_hop()? {
+                    unknown_exts += hop.icmp_exts.count_non_mpls();
+                }
+                check_consumed(&cur, record_type, body.len())?;
+                return Ok(((), unknown_exts));
+            }
+            decode_body(record_type, body, addrs, false).map(|_| ((), 0))
+        })?;
+        Ok(valid.and(self.last_span))
+    }
+
+    /// Frames the next record and hands its body to `decode`, which
+    /// returns its result and the record's non-MPLS ICMP extension
+    /// count. Owns everything the record types share: header checks,
+    /// lenient skips and resynchronisation, spans and metrics.
+    fn next_frame<T>(
+        &mut self,
+        mut decode: impl FnMut(
+            u16,
+            &[u8],
+            &mut AddrTableReader<'static>,
+        ) -> Result<(T, u64), WartsError>,
+    ) -> Result<Option<T>, StreamError> {
         loop {
             if self.failed {
                 return Ok(None);
@@ -571,26 +643,21 @@ impl<R: Read> WartsStreamReader<R> {
             // which both outcomes permit: success owns its fields,
             // failure leaves the reader positioned on the next header.
             let start = self.offset as u64;
-            let result = decode_body(
-                record_type,
-                len,
-                &self.buf[self.buf_pos + 8..self.buf_pos + 8 + len],
-                &mut self.addrs,
-                !self.elide_unsupported,
-            );
+            let body = &self.buf[self.buf_pos + 8..self.buf_pos + 8 + len];
+            let result = decode(record_type, body, &mut self.addrs);
             self.consume(8 + len);
 
             match result {
-                Ok(record) => {
+                Ok((value, unknown_exts)) => {
                     if let Some(m) = &self.metrics {
-                        m.observe(8 + len, &record);
+                        m.observe(8 + len, record_type, unknown_exts);
                     }
                     self.last_span = Some(RecordSpan {
                         offset: start,
                         body_len: len as u32,
                         record_type,
                     });
-                    return Ok(Some(record));
+                    return Ok(Some(value));
                 }
                 Err(e) => {
                     if self.lenient {
@@ -607,51 +674,10 @@ impl<R: Read> WartsStreamReader<R> {
     }
 }
 
-/// Decodes one record body, borrowed from the stream buffer. With
-/// `keep_unsupported` an unsupported record's bytes are copied so they
-/// can be preserved for inspection; without it the body stays empty and
-/// nothing is copied at all.
-fn decode_body(
-    record_type: u16,
-    len: usize,
-    body: &[u8],
-    addrs: &mut AddrTableReader,
-    keep_unsupported: bool,
-) -> Result<Record, WartsError> {
-    let mut cur = Cursor::new(body);
-    let record = match record_type {
-        x if x == RecordType::List as u16 => Record::List(ListRecord::read(&mut cur)?),
-        x if x == RecordType::CycleStart as u16 || x == RecordType::CycleDef as u16 => {
-            Record::CycleStart(CycleRecord::read(&mut cur)?)
-        }
-        x if x == RecordType::CycleStop as u16 => {
-            Record::CycleStop(CycleStopRecord::read(&mut cur)?)
-        }
-        x if x == RecordType::Trace as u16 => {
-            Record::Trace(TraceRecord::read(&mut cur, addrs)?)
-        }
-        x if x == RecordType::Ping as u16 => {
-            Record::Ping(PingRecord::read(&mut cur, addrs)?)
-        }
-        other => {
-            let body = if keep_unsupported { body.to_vec() } else { Vec::new() };
-            return Ok(Record::Unsupported { record_type: other, body });
-        }
-    };
-    if !cur.is_empty() {
-        return Err(WartsError::LengthMismatch {
-            record_type,
-            declared: len,
-            consumed: cur.position(),
-        });
-    }
-    Ok(record)
-}
-
 /// Decodes one record body against a caller-supplied address table —
 /// the entry point for index-driven shard decoding, where the body is a
 /// slice of a memory-mapped file and `addrs` is the file's full
-/// dictionary preloaded via [`AddrTableReader::from_table`].
+/// dictionary preloaded via [`AddrTableReader::preloaded`].
 ///
 /// Semantics are identical to [`WartsStreamReader::next_record`]'s body
 /// decode (length-mismatch included). Unsupported record bodies are
@@ -661,7 +687,7 @@ pub fn decode_record_body(
     body: &[u8],
     addrs: &mut AddrTableReader,
 ) -> Result<Record, WartsError> {
-    decode_body(record_type, body.len(), body, addrs, false)
+    decode_body(record_type, body, addrs, false)
 }
 
 impl<R: Read> Iterator for WartsStreamReader<R> {
@@ -677,7 +703,7 @@ mod tests {
     use super::*;
     use crate::addr::Addr;
     use crate::file::WartsWriter;
-    use crate::trace::HopRecord;
+    use crate::trace::{HopRecord, TraceRecord};
     use std::net::Ipv4Addr;
 
     fn a(o: u8) -> Addr {
@@ -914,7 +940,7 @@ mod tests {
         // dictionary reproduces the sequential records (the dictionary
         // references in the second trace resolve from the preload).
         let dict = r.addr_snapshot();
-        let mut addrs = AddrTableReader::from_table(dict);
+        let mut addrs = AddrTableReader::preloaded(&dict);
         for (s, rec) in spans.iter().zip(&records) {
             let body = &bytes[s.offset as usize + 8..(s.offset + s.wire_len()) as usize];
             let redecoded = decode_record_body(s.record_type, body, &mut addrs).unwrap();

@@ -10,12 +10,20 @@
 //! global-address-id parameters (trace flags 3/4, hop flag 1) are
 //! recognised and rejected with [`WartsError::Unsupported`] rather than
 //! misparsed.
+//!
+//! Every trace body is read by one walker, `TraceBody`: it decodes the
+//! trace parameters into a `TraceHeader`, then hands out the hops one
+//! at a time as `HopView`s that borrow their ICMP extensions from the
+//! body. Its users differ only in what they keep: [`TraceRecord::read`]
+//! builds the owned record, [`crate::WartsStreamReader::next_span`]
+//! keeps nothing (it validates for the record index), and
+//! [`crate::decode_trace_into`] builds an `lpr_core::Trace` directly.
 
 use crate::addr::{Addr, AddrTableReader, AddrTableWriter};
 use crate::buf::{put_timeval, Cursor};
 use crate::error::WartsError;
 use crate::flags::{read_params, ParamWriter};
-use crate::icmpext::{read_exts, write_exts, IcmpExt};
+use crate::icmpext::{write_exts, IcmpExt, IcmpExtBlock};
 use bytes::{BufMut, BytesMut};
 
 // Trace parameter flags (1-based, scamper order).
@@ -191,11 +199,43 @@ impl HopRecord {
         addrs.write(p.param(H_ADDR), self.addr);
         p.finish_reset(out);
     }
+}
 
-    fn read(cur: &mut Cursor<'_>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
+/// One hop as it lies in a record body: the fields of [`HopRecord`],
+/// with the ICMP extensions borrowed instead of copied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HopView<'a> {
+    /// Replying address.
+    pub addr: Addr,
+    /// TTL of the probe that elicited the reply.
+    pub probe_ttl: u8,
+    /// TTL of the reply packet when it arrived.
+    pub reply_ttl: Option<u8>,
+    /// Attempt number.
+    pub probe_id: Option<u8>,
+    /// Round-trip time in microseconds.
+    pub rtt_us: u32,
+    /// ICMP type (high byte) and code (low byte).
+    pub icmp_type_code: Option<u16>,
+    /// Probe size in bytes.
+    pub probe_size: Option<u16>,
+    /// Reply size in bytes.
+    pub reply_size: Option<u16>,
+    /// IP-ID of the reply.
+    pub reply_ipid: Option<u16>,
+    /// TOS byte of the reply.
+    pub reply_tos: Option<u8>,
+    /// Quoted TTL from the embedded packet.
+    pub quoted_ttl: Option<u8>,
+    /// ICMP extension objects (RFC 4884), including RFC 4950 MPLS.
+    pub icmp_exts: IcmpExtBlock<'a>,
+}
+
+impl<'a> HopView<'a> {
+    fn read(cur: &mut Cursor<'a>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
         let (flags, mut params) = read_params(cur, "hop params")?;
         let mut addr = None;
-        let mut hop = HopRecord {
+        let mut hop = HopView {
             addr: Addr::V4(std::net::Ipv4Addr::UNSPECIFIED),
             probe_ttl: 0,
             reply_ttl: None,
@@ -207,7 +247,7 @@ impl HopRecord {
             reply_ipid: None,
             reply_tos: None,
             quoted_ttl: None,
-            icmp_exts: Vec::new(),
+            icmp_exts: IcmpExtBlock::default(),
         };
         for flag in flags.iter() {
             match flag {
@@ -239,13 +279,31 @@ impl HopRecord {
                 H_Q_IPTOS => {
                     params.u8("hop quoted tos")?;
                 }
-                H_ICMPEXT => hop.icmp_exts = read_exts(&mut params)?,
+                H_ICMPEXT => hop.icmp_exts = IcmpExtBlock::read(&mut params)?,
                 H_ADDR => addr = Some(addrs.read(&mut params)?),
                 _ => return Err(WartsError::Unsupported { feature: "unknown hop flag" }),
             }
         }
         hop.addr = addr.ok_or(WartsError::Unsupported { feature: "hop without address" })?;
         Ok(hop)
+    }
+
+    /// The owned hop, extensions copied.
+    fn to_record(self) -> HopRecord {
+        HopRecord {
+            addr: self.addr,
+            probe_ttl: self.probe_ttl,
+            reply_ttl: self.reply_ttl,
+            probe_id: self.probe_id,
+            rtt_us: self.rtt_us,
+            icmp_type_code: self.icmp_type_code,
+            probe_size: self.probe_size,
+            reply_size: self.reply_size,
+            reply_ipid: self.reply_ipid,
+            reply_tos: self.reply_tos,
+            quoted_ttl: self.quoted_ttl,
+            icmp_exts: self.icmp_exts.iter().map(IcmpExt::from).collect(),
+        }
     }
 }
 
@@ -331,11 +389,79 @@ impl TraceRecord {
 
     /// Decodes a record body, threading the file's address table.
     pub fn read(cur: &mut Cursor<'_>, addrs: &mut AddrTableReader) -> Result<Self, WartsError> {
+        let mut body = TraceBody::open(cur, addrs)?;
+        let h = body.header;
+        let mut rec = TraceRecord {
+            list_id: h.list_id,
+            cycle_id: h.cycle_id,
+            src: h.src,
+            dst: h.dst,
+            start: h.start,
+            stop_reason: h.stop_reason,
+            stop_data: h.stop_data,
+            first_hop: h.first_hop,
+            attempts: h.attempts,
+            hop_limit: h.hop_limit,
+            hops: Vec::with_capacity(h.hop_count as usize),
+        };
+        while let Some(hop) = body.next_hop()? {
+            rec.hops.push(hop.to_record());
+        }
+        Ok(rec)
+    }
+}
+
+/// The trace-level parameters of a trace record: every field of
+/// [`TraceRecord`] but the hops, plus the hop count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TraceHeader {
+    /// File-local id of the list this trace belongs to.
+    pub list_id: Option<u32>,
+    /// File-local id of the cycle this trace belongs to.
+    pub cycle_id: Option<u32>,
+    /// Vantage-point address.
+    pub src: Addr,
+    /// Destination address.
+    pub dst: Addr,
+    /// Start time `(seconds, microseconds)`.
+    pub start: Option<(u32, u32)>,
+    /// Why the trace stopped.
+    pub stop_reason: StopReason,
+    /// Extra stop information (e.g. the ICMP code).
+    pub stop_data: Option<u8>,
+    /// TTL of the first probe.
+    pub first_hop: Option<u8>,
+    /// Probing attempts per hop.
+    pub attempts: Option<u8>,
+    /// Maximum probe TTL.
+    pub hop_limit: Option<u8>,
+    /// Number of hop records that follow the parameters.
+    pub hop_count: u16,
+}
+
+/// The trace-body walker: reads a trace record's parameters on
+/// [`TraceBody::open`], then its hops one [`TraceBody::next_hop`] at a
+/// time, allocating nothing. Address-table effects and errors are the
+/// same whoever walks, so the owned decode, the validating index scan
+/// and the direct decode into `lpr_core::Trace` agree by construction.
+pub(crate) struct TraceBody<'c, 'a, 'd> {
+    cur: &'c mut Cursor<'a>,
+    addrs: &'c mut AddrTableReader<'d>,
+    /// The record's trace-level parameters.
+    pub header: TraceHeader,
+    hops_left: u16,
+}
+
+impl<'c, 'a, 'd> TraceBody<'c, 'a, 'd> {
+    /// Reads the trace parameters at `cur`, leaving it on the first hop.
+    pub(crate) fn open(
+        cur: &'c mut Cursor<'a>,
+        addrs: &'c mut AddrTableReader<'d>,
+    ) -> Result<Self, WartsError> {
         let (flags, mut params) = read_params(cur, "trace params")?;
         let mut src = None;
         let mut dst = None;
-        let mut hop_count = 0u16;
-        let mut rec = TraceRecord {
+        let mut h = TraceHeader {
             list_id: None,
             cycle_id: None,
             src: Addr::V4(std::net::Ipv4Addr::UNSPECIFIED),
@@ -346,25 +472,25 @@ impl TraceRecord {
             first_hop: None,
             attempts: None,
             hop_limit: None,
-            hops: Vec::new(),
+            hop_count: 0,
         };
         for flag in flags.iter() {
             match flag {
-                T_LIST_ID => rec.list_id = Some(params.u32("trace list id")?),
-                T_CYCLE_ID => rec.cycle_id = Some(params.u32("trace cycle id")?),
+                T_LIST_ID => h.list_id = Some(params.u32("trace list id")?),
+                T_CYCLE_ID => h.cycle_id = Some(params.u32("trace cycle id")?),
                 T_ADDR_SRC_GID | T_ADDR_DST_GID => {
                     return Err(WartsError::Unsupported { feature: "trace global address id" })
                 }
-                T_START => rec.start = Some(params.timeval("trace start")?),
+                T_START => h.start = Some(params.timeval("trace start")?),
                 T_STOP_REASON => {
-                    rec.stop_reason = StopReason::from_u8(params.u8("trace stop reason")?)
+                    h.stop_reason = StopReason::from_u8(params.u8("trace stop reason")?)
                 }
-                T_STOP_DATA => rec.stop_data = Some(params.u8("trace stop data")?),
+                T_STOP_DATA => h.stop_data = Some(params.u8("trace stop data")?),
                 T_FLAGS => {
                     params.u8("trace flags")?;
                 }
-                T_ATTEMPTS => rec.attempts = Some(params.u8("trace attempts")?),
-                T_HOPLIMIT => rec.hop_limit = Some(params.u8("trace hoplimit")?),
+                T_ATTEMPTS => h.attempts = Some(params.u8("trace attempts")?),
+                T_HOPLIMIT => h.hop_limit = Some(params.u8("trace hoplimit")?),
                 T_TYPE => {
                     params.u8("trace type")?;
                 }
@@ -374,7 +500,7 @@ impl TraceRecord {
                 T_PORT_SRC | T_PORT_DST => {
                     params.u16("trace port")?;
                 }
-                T_FIRSTHOP => rec.first_hop = Some(params.u8("trace firsthop")?),
+                T_FIRSTHOP => h.first_hop = Some(params.u8("trace firsthop")?),
                 T_TOS => {
                     params.u8("trace tos")?;
                 }
@@ -384,7 +510,7 @@ impl TraceRecord {
                 T_LOOPS => {
                     params.u8("trace loops")?;
                 }
-                T_HOPCOUNT => hop_count = params.u16("trace hop count")?,
+                T_HOPCOUNT => h.hop_count = params.u16("trace hop count")?,
                 T_GAPLIMIT => {
                     params.u8("trace gaplimit")?;
                 }
@@ -414,13 +540,18 @@ impl TraceRecord {
                 _ => return Err(WartsError::Unsupported { feature: "unknown trace flag" }),
             }
         }
-        rec.src = src.ok_or(WartsError::Unsupported { feature: "trace without source" })?;
-        rec.dst = dst.ok_or(WartsError::Unsupported { feature: "trace without destination" })?;
-        rec.hops.reserve(hop_count as usize);
-        for _ in 0..hop_count {
-            rec.hops.push(HopRecord::read(cur, addrs)?);
+        h.src = src.ok_or(WartsError::Unsupported { feature: "trace without source" })?;
+        h.dst = dst.ok_or(WartsError::Unsupported { feature: "trace without destination" })?;
+        Ok(TraceBody { cur, addrs, header: h, hops_left: h.hop_count })
+    }
+
+    /// The next hop, or `None` after the last.
+    pub(crate) fn next_hop(&mut self) -> Result<Option<HopView<'a>>, WartsError> {
+        if self.hops_left == 0 {
+            return Ok(None);
         }
-        Ok(rec)
+        self.hops_left -= 1;
+        HopView::read(self.cur, self.addrs).map(Some)
     }
 }
 

@@ -747,7 +747,7 @@ fn pipeline(args: &[String]) -> i32 {
             persistence_window: future.len(),
             ..Default::default()
         });
-        let out = pipeline.run_par_recorded(&decoded, world.rib(), &future, threads, rec);
+        let out = pipeline.run_par(&decoded, world.rib(), &future, threads, rec);
         (out, sw.elapsed_us().max(1))
     };
 
@@ -1516,7 +1516,7 @@ fn out_of_core_demo(
         persistence_window: future.len(),
         ..Default::default()
     });
-    let reference = pl.run_par_recorded(&ref_traces, world.rib(), &future, 1, None);
+    let reference = pl.run_par(&ref_traces, world.rib(), &future, 1, None);
     drop(ref_traces);
 
     // The same future keys, as sorted on-disk spill files.
@@ -2116,10 +2116,10 @@ fn chaos(args: &[String]) -> i32 {
     // `CHAOS_THREADS`, returning the sequential output and whether all
     // counts agreed byte-for-byte.
     let run_all = |input: &[lpr_core::trace::Trace]| {
-        let reference = pipeline.run_par_recorded(input, world.rib(), &future, 1, None);
+        let reference = pipeline.run_par(input, world.rib(), &future, 1, None);
         let mut matches_all = true;
         for &threads in &CHAOS_THREADS[1..] {
-            let out = pipeline.run_par_recorded(input, world.rib(), &future, threads, None);
+            let out = pipeline.run_par(input, world.rib(), &future, threads, None);
             if out != reference {
                 matches_all = false;
             }

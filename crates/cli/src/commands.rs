@@ -15,7 +15,7 @@ pub mod classify {
     pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
         let recorder = crate::recorder_for(o, "lpr classify");
         let run_span = crate::open_run_span(recorder.as_ref(), "classify");
-        let artifacts = crate::run_pipeline_recorded(o, recorder.as_ref())?;
+        let artifacts = crate::run_pipeline(o, recorder.as_ref())?;
         let out = &artifacts.output;
 
         for (iotp, cls) in &out.iotps {
@@ -155,7 +155,7 @@ pub mod stats {
     pub fn run(o: &Options, w: &mut dyn Write) -> Result<RunStatus, CliError> {
         let recorder = crate::recorder_for(o, "lpr stats");
         let run_span = crate::open_run_span(recorder.as_ref(), "stats");
-        let artifacts = crate::run_pipeline_recorded(o, recorder.as_ref())?;
+        let artifacts = crate::run_pipeline(o, recorder.as_ref())?;
         let out = &artifacts.output;
         writeln!(
             w,

@@ -354,14 +354,14 @@ pub fn load_rib(path: &str) -> Result<ip2as::Ip2AsTrie, CliError> {
     ip2as::parse_rib(&text).map_err(|e| err(format!("{path}: {e}")))
 }
 
-/// Runs the analysis pipeline an analysis subcommand needs.
-pub fn run_pipeline(o: &Options) -> Result<PipelineArtifacts, CliError> {
-    run_pipeline_recorded(o, None)
-}
-
-/// [`run_pipeline`] with instrumentation: loading and every pipeline
-/// stage land in `recorder` (see `lpr_obs`).
-pub fn run_pipeline_recorded(
+/// Runs the analysis pipeline an analysis subcommand needs. With a
+/// `recorder`, loading and every pipeline stage land in it (see
+/// `lpr_obs`).
+///
+/// The in-memory and `--out-of-core` paths share everything but how
+/// they load the cycle: the [`Pipeline`] built from `--j` and
+/// `--alias-rescue`, the `cycle` span and the `--fail-fast` check.
+pub fn run_pipeline(
     o: &Options,
     recorder: Option<&lpr_obs::Recorder>,
 ) -> Result<PipelineArtifacts, CliError> {
@@ -371,9 +371,12 @@ pub fn run_pipeline_recorded(
     let rib_path = o.rib.as_ref().ok_or_else(|| err("--rib <file> is required"))?;
     let rib = load_rib(rib_path)?;
     let threads = o.threads.unwrap_or_else(lpr_par::available_threads);
-    if o.out_of_core {
-        return run_pipeline_out_of_core(o, &rib, threads, recorder);
-    }
+    let j = o.j.unwrap_or(o.next.len());
+    let pipeline = Pipeline {
+        config: FilterConfig { persistence_window: j, ..Default::default() },
+        alias_rescue: o.alias_rescue,
+        ..Pipeline::default()
+    };
     // One classify/stats invocation processes one cycle; its span nests
     // under the subcommand's `run:` root and everything the pipeline
     // opens (stage, shard spans) nests under it in turn.
@@ -382,6 +385,36 @@ pub fn run_pipeline_recorded(
     let outer_parent = tracer.default_parent();
     let cycle_span = tracer.span("cycle");
     tracer.set_default_parent(cycle_span.context());
+    let artifacts = if o.out_of_core {
+        run_out_of_core(o, &pipeline, &rib, threads, recorder, tracer)
+    } else {
+        run_in_memory(o, &pipeline, &rib, threads, recorder, tracer)
+    };
+    tracer.set_default_parent(outer_parent);
+    drop(cycle_span);
+    let artifacts = artifacts?;
+    if o.fail_fast && artifacts.is_degraded() {
+        return Err(err(format!(
+            "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
+            artifacts.load.skipped_total(),
+            artifacts.load.convert_failures,
+            artifacts.output.degraded.quarantined_total(),
+        )));
+    }
+    Ok(artifacts)
+}
+
+/// The in-memory pipeline: every input trace is loaded into a list
+/// (strictly, or leniently under `--keep-going`) and run through
+/// [`Pipeline::run_par`].
+fn run_in_memory(
+    o: &Options,
+    pipeline: &Pipeline,
+    rib: &ip2as::Ip2AsTrie,
+    threads: usize,
+    recorder: Option<&lpr_obs::Recorder>,
+    tracer: &lpr_obs::Tracer,
+) -> Result<PipelineArtifacts, CliError> {
     let sw = lpr_obs::Stopwatch::start();
     let load_span = tracer.span("stage:LoadTraces");
     let (traces, load) = if o.keep_going {
@@ -414,27 +447,10 @@ pub fn run_pipeline_recorded(
                 .map(|t| Pipeline::snapshot_keys_par(&t, threads))
         })
         .collect::<Result<_, _>>()?;
-    let j = o.j.unwrap_or(future.len());
-    let mut pipeline =
-        Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-    if o.alias_rescue {
-        pipeline = pipeline.with_alias_rescue();
-    }
-    let output = pipeline.run_par_recorded(&traces, &rib, &future, threads, recorder);
-    tracer.set_default_parent(outer_parent);
-    drop(cycle_span);
+    let output = pipeline.run_par(&traces, rib, &future, threads, recorder);
     let trace_count = traces.len() as u64;
     let mpls_traces = traces.iter().filter(|t| t.has_mpls()).count() as u64;
-    let artifacts = PipelineArtifacts { traces, trace_count, mpls_traces, output, load };
-    if o.fail_fast && artifacts.is_degraded() {
-        return Err(err(format!(
-            "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
-            artifacts.load.skipped_total(),
-            artifacts.load.convert_failures,
-            artifacts.output.degraded.quarantined_total(),
-        )));
-    }
-    Ok(artifacts)
+    Ok(PipelineArtifacts { traces, trace_count, mpls_traces, output, load })
 }
 
 /// The `--out-of-core` pipeline: inputs are memory-mapped and indexed
@@ -449,18 +465,16 @@ pub fn run_pipeline_recorded(
 /// lenient scan salvaged); without `--keep-going`, any skipped record
 /// or failed conversion is promoted to a fatal error, mirroring the
 /// strict loader.
-fn run_pipeline_out_of_core(
+fn run_out_of_core(
     o: &Options,
+    pipeline: &Pipeline,
     rib: &ip2as::Ip2AsTrie,
     threads: usize,
     recorder: Option<&lpr_obs::Recorder>,
+    tracer: &lpr_obs::Tracer,
 ) -> Result<PipelineArtifacts, CliError> {
+    use lpr_core::pipeline::PersistenceWindow;
     use lpr_corpus::{ingest_cycle, snapshot_keys, spill_snapshot_keys, Corpus, IngestOptions};
-    let disabled = lpr_obs::Tracer::disabled();
-    let tracer = recorder.map_or(&disabled, |r| r.tracer());
-    let outer_parent = tracer.default_parent();
-    let cycle_span = tracer.span("cycle");
-    tracer.set_default_parent(cycle_span.context());
 
     // Startup hygiene: clear crash leftovers (orphaned `.lpridx.tmp`
     // writes next to the inputs, stale spill files) before touching
@@ -513,61 +527,36 @@ fn run_pipeline_out_of_core(
         )));
     }
 
-    let j = o.j.unwrap_or(o.next.len());
-    let mut pipeline =
-        Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-    if o.alias_rescue {
-        pipeline = pipeline.with_alias_rescue();
-    }
-    let shard = lpr_par::ShardOptions::new(threads);
     let open_next = |path: &String| -> Result<Corpus, CliError> {
         Corpus::open_with(std::slice::from_ref(path), true, recorder)
             .map_err(|e| err(format!("{path}: {e}")))
     };
-    let (trace_count, mpls_traces) = (ingest.traces_in, report.mpls_traces);
-    let output = if let Some(dir) = &o.spill_dir {
-        let mut spilled = Vec::with_capacity(o.next.len());
+    let (spilled, keys);
+    let window = if let Some(dir) = &o.spill_dir {
+        let mut files = Vec::with_capacity(o.next.len());
         for (i, path) in o.next.iter().enumerate() {
             let next = open_next(path)?;
-            spilled.push(spill_snapshot_keys(
-                &next,
-                std::path::Path::new(dir),
-                &format!("next{i}"),
-                threads,
-                recorder,
-            )?);
+            let label = format!("next{i}");
+            files.push(spill_snapshot_keys(&next, dir.as_ref(), &label, threads, recorder)?);
         }
-        pipeline.finish_stages_windowed(
-            ingest,
-            lpr_core::pipeline::PersistenceWindow::Spilled(&spilled),
-            recorder,
-            shard,
-        )?
+        spilled = files;
+        PersistenceWindow::Spilled(&spilled)
     } else {
-        let mut keys = Vec::with_capacity(o.next.len());
-        for path in &o.next {
-            keys.push(snapshot_keys(&open_next(path)?, threads));
-        }
-        pipeline.finish_stages_windowed(
-            ingest,
-            lpr_core::pipeline::PersistenceWindow::Mem(&keys),
-            recorder,
-            shard,
-        )?
+        keys = o
+            .next
+            .iter()
+            .map(|path| Ok(snapshot_keys(&open_next(path)?, threads)))
+            .collect::<Result<Vec<_>, CliError>>()?;
+        PersistenceWindow::Mem(&keys)
     };
-    tracer.set_default_parent(outer_parent);
-    drop(cycle_span);
-    let artifacts =
-        PipelineArtifacts { traces: Vec::new(), trace_count, mpls_traces, output, load };
-    if o.fail_fast && artifacts.is_degraded() {
-        return Err(err(format!(
-            "--fail-fast: input degraded ({} records skipped, {} conversions failed, {} traces quarantined)",
-            artifacts.load.skipped_total(),
-            artifacts.load.convert_failures,
-            artifacts.output.degraded.quarantined_total(),
-        )));
-    }
-    Ok(artifacts)
+    let (trace_count, mpls_traces) = (ingest.traces_in, report.mpls_traces);
+    let output = pipeline.finish_stages_windowed(
+        ingest,
+        window,
+        recorder,
+        lpr_par::ShardOptions::new(threads),
+    )?;
+    Ok(PipelineArtifacts { traces: Vec::new(), trace_count, mpls_traces, output, load })
 }
 
 /// Writes the human-readable degradation summary an analysis subcommand
@@ -1023,7 +1012,7 @@ mod tests {
             rib: Some(rib_path),
             ..Default::default()
         };
-        let reference = run_pipeline(&o).unwrap().output;
+        let reference = run_pipeline(&o, None).unwrap().output;
         let mut input = reference.report.input as u64;
         for stage in FilterStage::ALL {
             let st = telemetry.stage(stage.name()).unwrap_or_else(|| panic!("{}", stage.name()));
@@ -1061,7 +1050,7 @@ mod tests {
             threads: Some(threads),
             ..Default::default()
         };
-        run_pipeline_recorded(&o, Some(&recorder)).unwrap();
+        run_pipeline(&o, Some(&recorder)).unwrap();
         drop(run_span);
         let snapshot = recorder.tracer().snapshot();
         (snapshot, recorder.finish())

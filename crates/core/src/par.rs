@@ -6,8 +6,8 @@
 //! [`lpr_par::map_shards`] while keeping the output **byte-identical**
 //! to the sequential [`Pipeline::run`] for any thread count:
 //!
-//! - Traces are cut into contiguous shards; each worker runs its own
-//!   [`CycleAccumulator`]-style ingest over its shard and hands back an
+//! - Traces are cut into contiguous shards; each worker pushes its
+//!   shard through its own [`CycleAccumulator`] and hands back an
 //!   owned [`IngestState`]. Merging shard states *in shard order*
 //!   reproduces the sequential LSP order exactly, and every count is a
 //!   plain sum.
@@ -18,41 +18,32 @@
 //!   classification.
 //!
 //! With `threads <= 1` every shard runs inline on the caller's thread —
-//! the parallel entry points *are* the sequential pipeline then, not an
+//! [`Pipeline::run_par`] *is* the sequential pipeline then, not an
 //! emulation of it.
 
-use crate::filter::{lsp_keys_of_tunnels, AsMapper};
+use crate::filter::AsMapper;
 use crate::lsp::LspKey;
 use crate::pipeline::{IngestState, Pipeline, PipelineOutput};
 use crate::quarantine::QuarantineReason;
 use crate::stream::CycleAccumulator;
 use crate::trace::Trace;
-use crate::tunnel::RawTunnel;
 use lpr_par::ShardOptions;
 use std::collections::BTreeSet;
 
 impl Pipeline {
-    /// Parallel [`Pipeline::run`]: identical output, sharded across
-    /// `threads` workers (`0` means the machine's available
-    /// parallelism).
-    pub fn run_par(
-        &self,
-        traces: &[Trace],
-        mapper: &(dyn AsMapper + Sync),
-        future_keys: &[BTreeSet<LspKey>],
-        threads: usize,
-    ) -> PipelineOutput {
-        self.run_par_recorded(traces, mapper, future_keys, threads, None)
-    }
-
-    /// [`Pipeline::run_par`] with instrumentation.
+    /// [`Pipeline::run`] sharded across `threads` workers (`0` means the
+    /// machine's available parallelism) and recorded into `recorder`
+    /// when one is given: the one threaded and traced entry over a
+    /// trace slice. The output is identical to [`Pipeline::run`] for
+    /// any thread count, recorded or not.
     ///
-    /// Aggregate stage rows match the sequential telemetry (same names,
-    /// same input/output counts; per-LSP stage times are summed worker
-    /// CPU time in a parallel run). When more than one worker actually
-    /// runs, additional `worker{N}/<stage>` rows record each worker's
-    /// busy time and item counts, and the run's `threads` field is set.
-    pub fn run_par_recorded(
+    /// Aggregate stage rows carry the same names and input/output
+    /// counts at every thread count (per-LSP stage times are summed
+    /// worker CPU time in a parallel run). When more than one worker
+    /// actually runs, additional `worker{N}/<stage>` rows record each
+    /// worker's busy time and item counts. The run's `threads` field is
+    /// always set.
+    pub fn run_par(
         &self,
         traces: &[Trace],
         mapper: &(dyn AsMapper + Sync),
@@ -77,13 +68,7 @@ impl Pipeline {
             traces,
             opts,
             lpr_par::ShardTrace::new(tracer, ingest_span.context()),
-            |_, shard| {
-                let mut acc = CycleAccumulator::new(mapper);
-                for trace in shard {
-                    acc.push_trace(trace);
-                }
-                acc.into_state()
-            },
+            |_, shard| CycleAccumulator::ingest(mapper, shard),
         );
 
         // Shard-order merge: LSPs concatenate in input order, counts sum.
@@ -117,9 +102,6 @@ impl Pipeline {
             if poisoned > 0 {
                 rec.counter(lpr_obs::names::PAR_POISONED_SHARDS).add(poisoned);
             }
-        }
-
-        if let Some(rec) = recorder {
             if parallel {
                 let mut per_worker: std::collections::BTreeMap<usize, u64> =
                     std::collections::BTreeMap::new();
@@ -150,19 +132,9 @@ impl Pipeline {
     /// sequential one).
     pub fn snapshot_keys_par(traces: &[Trace], threads: usize) -> BTreeSet<LspKey> {
         let run = lpr_par::map_shards(traces, ShardOptions::new(threads), |_, shard| {
-            let mut tunnels: Vec<RawTunnel> = Vec::new();
-            for trace in shard {
-                if crate::quarantine::validate_trace(trace).is_ok() {
-                    crate::tunnel::extract_tunnels_into(trace, &mut tunnels);
-                }
-            }
-            lsp_keys_of_tunnels(&tunnels)
+            Pipeline::snapshot_keys(shard)
         });
-        let mut keys = BTreeSet::new();
-        for shard in run.outputs {
-            keys.extend(shard);
-        }
-        keys
+        run.outputs.into_iter().flatten().collect()
     }
 }
 
@@ -224,7 +196,8 @@ mod tests {
         let pipeline = Pipeline::default();
         let seq = pipeline.run(&traces, &mapper, std::slice::from_ref(&keys));
         for threads in [1usize, 2, 3, 4, 8] {
-            let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads);
+            let par =
+                pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads, None);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -245,7 +218,7 @@ mod tests {
         let mut pipeline = Pipeline::default().with_alias_rescue();
         pipeline.skip_transit_diversity = true;
         let seq = pipeline.run(&traces, &mapper, std::slice::from_ref(&keys));
-        let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), 4);
+        let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), 4, None);
         assert_eq!(par, seq);
     }
 
@@ -257,7 +230,7 @@ mod tests {
 
         let rec = lpr_obs::Recorder::new("par");
         let out =
-            pipeline.run_par_recorded(&traces, &mapper, std::slice::from_ref(&keys), 4, Some(&rec));
+            pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), 4, Some(&rec));
         let telemetry = rec.finish();
         assert_eq!(telemetry.threads, 4);
 
@@ -318,7 +291,8 @@ mod tests {
         assert_eq!(seq.degraded.quarantined_total(), 3);
         assert_eq!(seq.degraded.ingested(), traces.len() as u64);
         for threads in [1usize, 2, 3, 4, 8] {
-            let par = pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads);
+            let par =
+                pipeline.run_par(&traces, &mapper, std::slice::from_ref(&keys), threads, None);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -348,7 +322,8 @@ mod tests {
         let pipeline = Pipeline::default();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = pipeline.run_par(&traces, &volatile_mapper, std::slice::from_ref(&keys), 4);
+        let out =
+            pipeline.run_par(&traces, &volatile_mapper, std::slice::from_ref(&keys), 4, None);
         std::panic::set_hook(prev);
 
         use crate::quarantine::QuarantineReason;
@@ -368,7 +343,7 @@ mod tests {
         let traces = workload();
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("seq");
-        Pipeline::default().run_par_recorded(
+        Pipeline::default().run_par(
             &traces,
             &mapper,
             std::slice::from_ref(&keys),

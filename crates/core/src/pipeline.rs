@@ -4,15 +4,23 @@
 //! classification, and returns both the classified IOTPs and the
 //! bookkeeping needed by the paper's evaluation (Table 1 survival
 //! proportions, dynamic-AS tags, per-class tallies).
+//!
+//! There is one way into the pipeline. Each of its three sources — a
+//! trace slice ([`Pipeline::run`], [`Pipeline::run_par`]), an indexed
+//! corpus (`lpr_corpus::ingest_cycle`) and a stream of pushed traces
+//! ([`CycleAccumulator`]) — builds an [`IngestState`] through the one
+//! per-trace ingest loop, [`CycleAccumulator::push_trace`], and ends
+//! in the one back half, [`Pipeline::finish_stages_windowed`].
 
 use crate::classify::{classify_iotp, Class, Classification};
 use crate::filter::{
-    attribute_and_filter, build_iotps, iotp_kept, lsp_keys_of_tunnels, partition_by_flags,
+    build_iotps, iotp_kept, lsp_keys_of_tunnels, partition_by_flags,
     persistent_flags, reinject_dynamic, transit_diversity_keys, AsMapper, FilterConfig,
     FilterReport, FilterStage,
 };
 use crate::lsp::{Asn, Iotp, IotpKey, Lsp, LspKey};
 use crate::quarantine::{validate_trace, DegradedReport};
+use crate::stream::CycleAccumulator;
 use crate::trace::Trace;
 use crate::tunnel::{extract_tunnels_into, RawTunnel};
 use std::collections::BTreeSet;
@@ -44,8 +52,7 @@ pub struct PipelineOutput {
     pub report: FilterReport,
     /// ASes tagged dynamic by the Persistence filter (§4.5).
     pub dynamic_ases: BTreeSet<Asn>,
-    /// Kept/quarantined trace accounting from ingest (all-kept when the
-    /// run started from pre-extracted tunnels).
+    /// Kept/quarantined trace accounting from ingest.
     pub degraded: DegradedReport,
 }
 
@@ -226,7 +233,7 @@ impl CycleSegment {
 pub struct IngestState {
     /// LSPs surviving the per-LSP filters, in input order.
     pub lsps: Vec<Lsp>,
-    /// Traces ingested (0 when the caller started from raw tunnels).
+    /// Traces ingested.
     pub traces_in: u64,
     /// Tunnels entering the filter pipeline.
     pub input: usize,
@@ -384,7 +391,10 @@ impl Pipeline {
         self
     }
 
-    /// Runs LPR over one cycle of traces.
+    /// Runs LPR over one cycle of traces, on the caller's thread and
+    /// unrecorded: one [`CycleAccumulator`] pass, then
+    /// [`Pipeline::finish_stages`]. [`Pipeline::run_par`] is the
+    /// threaded and recorded form of the same run.
     ///
     /// `future_keys` carries, for each of the following snapshots of the
     /// same month (in order), the set of LSP keys observed there; it
@@ -396,105 +406,21 @@ impl Pipeline {
         mapper: &dyn AsMapper,
         future_keys: &[BTreeSet<LspKey>],
     ) -> PipelineOutput {
-        self.run_recorded(traces, mapper, future_keys, None)
-    }
-
-    /// [`Pipeline::run`] with instrumentation: stage wall times and
-    /// input/output tallies land in `recorder` (stage names match
-    /// [`FilterStage::name`], so the telemetry reconciles with the
-    /// returned [`FilterReport`]).
-    pub fn run_recorded(
-        &self,
-        traces: &[Trace],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        let sw = lpr_obs::Stopwatch::start();
-        // Quarantine structurally-broken traces before extraction: the
-        // tunnel extractor (and everything after) assumes the
-        // strictly-increasing-TTL ladder `validate_trace` checks.
-        let mut degraded = DegradedReport::default();
-        let mut tunnels: Vec<RawTunnel> = Vec::new();
-        for trace in traces {
-            match validate_trace(trace) {
-                Ok(()) => {
-                    degraded.kept += 1;
-                    extract_tunnels_into(trace, &mut tunnels);
-                }
-                Err(reason) => degraded.note(reason),
-            }
-        }
-        let extraction_us = sw.elapsed_us();
-
-        let sw = lpr_obs::Stopwatch::start();
-        // IncompleteLsp + IntraAs + TargetAs (one fused pass).
-        let attributed = attribute_and_filter(&tunnels, mapper);
-        let ingest = IngestState {
-            lsps: attributed.lsps,
-            traces_in: traces.len() as u64,
-            input: tunnels.len(),
-            after_incomplete: attributed.after_incomplete,
-            after_intra_as: attributed.after_intra_as,
-            extraction_us,
-            attribution_us: sw.elapsed_us(),
-            degraded,
-            segments: Vec::new(),
-        };
-        self.finish_stages(ingest, future_keys, recorder, lpr_par::ShardOptions::new(1))
-    }
-
-    /// Runs LPR over already-extracted tunnels (useful when the caller
-    /// streams warts records and extracts incrementally).
-    pub fn run_on_tunnels(
-        &self,
-        tunnels: &[RawTunnel],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-    ) -> PipelineOutput {
-        self.run_on_tunnels_recorded(tunnels, mapper, future_keys, None)
-    }
-
-    /// [`Pipeline::run_on_tunnels`] with instrumentation (see
-    /// [`Pipeline::run_recorded`]).
-    ///
-    /// The three per-LSP filters (IncompleteLsp, IntraAS, TargetAS) run
-    /// fused in a single pass; the pass's wall time is reported on the
-    /// first stage and the fused stages report `wall_us = 0`. Counts
-    /// are exact for every stage.
-    pub fn run_on_tunnels_recorded(
-        &self,
-        tunnels: &[RawTunnel],
-        mapper: &dyn AsMapper,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        let sw = lpr_obs::Stopwatch::start();
-        // IncompleteLsp + IntraAs + TargetAs (one fused pass).
-        let attributed = attribute_and_filter(tunnels, mapper);
-        let ingest = IngestState {
-            lsps: attributed.lsps,
-            traces_in: 0,
-            input: tunnels.len(),
-            after_incomplete: attributed.after_incomplete,
-            after_intra_as: attributed.after_intra_as,
-            extraction_us: 0,
-            attribution_us: sw.elapsed_us(),
-            degraded: DegradedReport::default(),
-            segments: Vec::new(),
-        };
-        self.finish_stages(ingest, future_keys, recorder, lpr_par::ShardOptions::new(1))
+        let ingest = CycleAccumulator::ingest(mapper, traces);
+        self.finish_stages(ingest, future_keys, None, lpr_par::ShardOptions::new(1))
     }
 
     /// The aggregate back half of the pipeline — TransitDiversity,
     /// Persistence, classification — over an already-ingested
     /// [`IngestState`].
     ///
-    /// This is the **single** implementation both the sequential and
-    /// parallel front ends funnel into (`opts` with one thread runs
-    /// every shard inline on the caller's thread), so the two paths
-    /// cannot drift: determinism of the parallel pipeline reduces to
-    /// determinism of the shard merges.
+    /// The in-memory-window shorthand for
+    /// [`Pipeline::finish_stages_windowed`], the one back half every
+    /// source (trace slice, corpus, stream) funnels into. `opts` with
+    /// one thread runs every shard inline on the caller's thread, so
+    /// the sequential and parallel paths cannot drift: determinism of
+    /// the parallel pipeline reduces to determinism of the shard
+    /// merges.
     pub fn finish_stages(
         &self,
         ingest: IngestState,
@@ -719,7 +645,8 @@ impl Pipeline {
     }
 
     /// Convenience: the per-snapshot LSP key sets used by Persistence,
-    /// computed from raw traces.
+    /// computed from raw traces (the body every shard of
+    /// [`Pipeline::snapshot_keys_par`] runs).
     pub fn snapshot_keys(traces: &[Trace]) -> BTreeSet<LspKey> {
         // Quarantined traces contribute no keys, matching what an ingest
         // run over the same snapshot would keep.
@@ -738,7 +665,7 @@ impl Pipeline {
 /// previous stage's output (starting from [`FilterReport::input`]).
 /// `wall_us` gives the per-stage wall time in [`FilterStage::ALL`]
 /// order.
-pub fn record_filter_stages(
+fn record_filter_stages(
     recorder: &lpr_obs::Recorder,
     report: &FilterReport,
     wall_us: [u64; FilterStage::ALL.len()],
@@ -872,7 +799,7 @@ mod tests {
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("test");
         let out =
-            Pipeline::default().run_recorded(&traces, &mapper, &[keys.clone(), keys], Some(&rec));
+            Pipeline::default().run_par(&traces, &mapper, &[keys.clone(), keys], 1, Some(&rec));
         let telemetry = rec.finish();
 
         // Filter stages chain exactly: input of stage k equals output of
@@ -901,12 +828,18 @@ mod tests {
             mpls_trace(Ipv4Addr::new(198, 51, 100, 7), [101, 201], [2, 3]),
         ];
         let keys = Pipeline::snapshot_keys(&traces);
-        let rec = lpr_obs::Recorder::new("test");
-        let plain = Pipeline::default().run(&traces, &mapper, std::slice::from_ref(&keys));
-        let recorded =
-            Pipeline::default().run_recorded(&traces, &mapper, &[keys], Some(&rec));
-        assert_eq!(plain.report, recorded.report);
-        assert_eq!(plain.class_counts(), recorded.class_counts());
+        let future = std::slice::from_ref(&keys);
+        let plain = Pipeline::default().run(&traces, &mapper, future);
+        for threads in [1usize, 4] {
+            let rec = lpr_obs::Recorder::new("test");
+            let unrecorded = Pipeline::default().run_par(&traces, &mapper, future, threads, None);
+            let recorded =
+                Pipeline::default().run_par(&traces, &mapper, future, threads, Some(&rec));
+            assert_eq!(plain.report, recorded.report, "threads={threads}");
+            assert_eq!(plain.class_counts(), recorded.class_counts(), "threads={threads}");
+            assert_eq!(recorded, unrecorded, "threads={threads}");
+            assert_eq!(recorded, plain, "threads={threads}");
+        }
     }
 
     #[test]
@@ -928,10 +861,11 @@ mod tests {
         assert_eq!(keys, Pipeline::snapshot_keys(&clean), "quarantined traces yield no keys");
 
         let rec = lpr_obs::Recorder::new("degraded");
-        let out = Pipeline::default().run_recorded(
+        let out = Pipeline::default().run_par(
             &broken,
             &mapper,
             std::slice::from_ref(&keys),
+            1,
             Some(&rec),
         );
         assert_eq!(out.degraded.kept, 2);

@@ -4,9 +4,14 @@
 //! raw trace in memory before running [`crate::pipeline::Pipeline`] is
 //! wasteful when the per-LSP filters (IncompleteLsp, IntraAs, TargetAs)
 //! can run trace by trace as a warts file is read. [`CycleAccumulator`]
-//! does exactly that: push traces (or pre-extracted tunnels) one at a
-//! time — only the surviving [`Lsp`]s are retained — then finish with
-//! the aggregate stages (TransitDiversity, Persistence, classification).
+//! does exactly that: push traces one at a time — only the surviving
+//! [`Lsp`](crate::lsp::Lsp)s are retained — then hand the accumulated
+//! [`IngestState`] to [`Pipeline::finish_stages`] for the aggregate
+//! stages (TransitDiversity, Persistence, classification).
+//!
+//! This is the pipeline's one per-trace ingest loop: [`Pipeline::run`],
+//! the workers of [`Pipeline::run_par`] and the out-of-core
+//! `lpr_corpus::ingest_cycle` all push their traces through it.
 //!
 //! ```
 //! use lpr_core::prelude::*;
@@ -22,17 +27,24 @@
 //! for trace in &traces {
 //!     acc.push_trace(trace); // e.g. while streaming a warts file
 //! }
-//! let out = acc.finish(&Pipeline::default(), &[]);
+//! let out = Pipeline::default().finish_stages(
+//!     acc.into_state(),
+//!     &[],
+//!     None,
+//!     lpr_par::ShardOptions::new(1),
+//! );
 //! # assert_eq!(out.iotps.len(), 0);
 //! ```
+//!
+//! [`Pipeline::run`]: crate::pipeline::Pipeline::run
+//! [`Pipeline::run_par`]: crate::pipeline::Pipeline::run_par
+//! [`Pipeline::finish_stages`]: crate::pipeline::Pipeline::finish_stages
 
 use crate::filter::{attribute_and_filter, AsMapper};
-use crate::lsp::LspKey;
-use crate::pipeline::{IngestState, Pipeline, PipelineOutput};
+use crate::pipeline::IngestState;
 use crate::quarantine::validate_trace;
 use crate::trace::Trace;
 use crate::tunnel::{extract_tunnels_into, RawTunnel};
-use std::collections::BTreeSet;
 
 /// Incremental, bounded-memory front end of the LPR pipeline.
 pub struct CycleAccumulator<'m> {
@@ -50,11 +62,20 @@ impl<'m> CycleAccumulator<'m> {
         CycleAccumulator { mapper, state: IngestState::default(), scratch: Vec::new() }
     }
 
+    /// The ingest state of a whole trace slice, pushed in order.
+    pub(crate) fn ingest(mapper: &'m dyn AsMapper, traces: &[Trace]) -> IngestState {
+        let mut acc = CycleAccumulator::new(mapper);
+        for trace in traces {
+            acc.push_trace(trace);
+        }
+        acc.into_state()
+    }
+
     /// Ingests one trace: validates it, extracts its explicit tunnels
     /// and runs the per-LSP filters immediately. Structurally broken
     /// traces are quarantined (counted on the eventual
-    /// [`PipelineOutput::degraded`] report) instead of entering the
-    /// pipeline.
+    /// [`PipelineOutput::degraded`](crate::pipeline::PipelineOutput)
+    /// report) instead of entering the pipeline.
     pub fn push_trace(&mut self, trace: &Trace) {
         let sw = lpr_obs::Stopwatch::start();
         self.state.traces_in += 1;
@@ -73,9 +94,8 @@ impl<'m> CycleAccumulator<'m> {
         self.scratch = scratch;
     }
 
-    /// Ingests pre-extracted tunnels (e.g. from a custom warts reader
-    /// loop).
-    pub fn push_tunnels(&mut self, tunnels: &[RawTunnel]) {
+    /// Runs the fused per-LSP filters over one trace's tunnels.
+    fn push_tunnels(&mut self, tunnels: &[RawTunnel]) {
         let sw = lpr_obs::Stopwatch::start();
         self.state.input += tunnels.len();
         let out = attribute_and_filter(tunnels, self.mapper);
@@ -91,36 +111,12 @@ impl<'m> CycleAccumulator<'m> {
     }
 
     /// Hands back the accumulated ingest state — an owned, `Send`-able
-    /// value the parallel pipeline's workers return across thread
-    /// boundaries (the accumulator itself borrows its mapper and
-    /// cannot leave the worker).
+    /// value that `Pipeline::finish_stages` finishes, and that the
+    /// parallel pipeline's workers return across thread boundaries
+    /// (the accumulator itself borrows its mapper and cannot leave the
+    /// worker).
     pub fn into_state(self) -> IngestState {
         self.state
-    }
-
-    /// Runs the aggregate stages and produces the same
-    /// [`PipelineOutput`] a batch [`Pipeline::run`] would.
-    pub fn finish(self, pipeline: &Pipeline, future_keys: &[BTreeSet<LspKey>]) -> PipelineOutput {
-        self.finish_recorded(pipeline, future_keys, None)
-    }
-
-    /// [`CycleAccumulator::finish`] with instrumentation: the
-    /// accumulated per-push extraction/attribution wall time and the
-    /// aggregate stage timings land in `recorder`, with stage names and
-    /// counts reconciling with the returned [`FilterReport`] exactly as
-    /// in [`Pipeline::run_recorded`].
-    pub fn finish_recorded(
-        self,
-        pipeline: &Pipeline,
-        future_keys: &[BTreeSet<LspKey>],
-        recorder: Option<&lpr_obs::Recorder>,
-    ) -> PipelineOutput {
-        pipeline.finish_stages(
-            self.state,
-            future_keys,
-            recorder,
-            lpr_par::ShardOptions::new(1),
-        )
     }
 }
 
@@ -130,6 +126,7 @@ mod tests {
     use crate::filter::FilterStage;
     use crate::label::Lse;
     use crate::lsp::Asn;
+    use crate::pipeline::{Pipeline, PipelineOutput};
     use crate::trace::Hop;
     use std::net::Ipv4Addr;
 
@@ -166,6 +163,22 @@ mod tests {
         ]
     }
 
+    /// Streams `traces` through an accumulator and finishes at one
+    /// thread.
+    fn stream(
+        pipeline: &Pipeline,
+        traces: &[Trace],
+        future_keys: &[std::collections::BTreeSet<crate::lsp::LspKey>],
+        recorder: Option<&lpr_obs::Recorder>,
+    ) -> PipelineOutput {
+        let mut acc = CycleAccumulator::new(&mapper);
+        for t in traces {
+            acc.push_trace(t);
+        }
+        let opts = lpr_par::ShardOptions::new(1);
+        pipeline.finish_stages(acc.into_state(), future_keys, recorder, opts)
+    }
+
     #[test]
     fn streaming_equals_batch() {
         let traces = sample_traces();
@@ -173,12 +186,7 @@ mod tests {
         let pipeline = Pipeline::default();
 
         let batch = pipeline.run(&traces, &mapper, std::slice::from_ref(&keys));
-
-        let mut acc = CycleAccumulator::new(&mapper);
-        for t in &traces {
-            acc.push_trace(t);
-        }
-        let streamed = acc.finish(&pipeline, std::slice::from_ref(&keys));
+        let streamed = stream(&pipeline, &traces, std::slice::from_ref(&keys), None);
 
         assert_eq!(streamed.report, batch.report);
         assert_eq!(streamed.class_counts(), batch.class_counts());
@@ -188,6 +196,7 @@ mod tests {
             assert_eq!(ia.key, ib.key);
             assert_eq!(ca, cb);
         }
+        assert_eq!(streamed, batch, "streaming and batch outputs must be identical");
     }
 
     #[test]
@@ -205,7 +214,12 @@ mod tests {
             acc.push_trace(&t);
         }
         assert_eq!(acc.retained(), 0, "TargetAS-failing LSPs must not accumulate");
-        let out = acc.finish(&Pipeline::default(), &[]);
+        let out = Pipeline::default().finish_stages(
+            acc.into_state(),
+            &[],
+            None,
+            lpr_par::ShardOptions::new(1),
+        );
         assert_eq!(out.report.input, 100);
         assert!(out.iotps.is_empty());
     }
@@ -215,11 +229,7 @@ mod tests {
         let traces = sample_traces();
         let keys = Pipeline::snapshot_keys(&traces);
         let rec = lpr_obs::Recorder::new("stream");
-        let mut acc = CycleAccumulator::new(&mapper);
-        for t in &traces {
-            acc.push_trace(t);
-        }
-        let out = acc.finish_recorded(&Pipeline::default(), &[keys], Some(&rec));
+        let out = stream(&Pipeline::default(), &traces, &[keys], Some(&rec));
         let telemetry = rec.finish();
 
         let extraction = telemetry.stage("TunnelExtraction").unwrap();
@@ -239,12 +249,8 @@ mod tests {
     fn streaming_respects_pipeline_options() {
         let traces = sample_traces();
         let pipeline = Pipeline { skip_transit_diversity: true, ..Pipeline::default() };
-        let mut acc = CycleAccumulator::new(&mapper);
-        for t in &traces {
-            acc.push_trace(t);
-        }
         let keys = Pipeline::snapshot_keys(&traces);
-        let out = acc.finish(&pipeline, std::slice::from_ref(&keys));
+        let out = stream(&pipeline, &traces, std::slice::from_ref(&keys), None);
         let batch = pipeline.run(&traces, &mapper, &[keys]);
         assert_eq!(out.report, batch.report, "full FilterReport must agree");
         assert_eq!(out, batch, "streaming and batch outputs must be identical");

@@ -55,7 +55,7 @@ pub enum TreeClass {
 
 /// Builds the per-`(AS, egress)` trees from filtered LSPs.
 ///
-/// Unlike [`crate::filter::transit_diversity`], no destination-AS
+/// Unlike [`crate::filter::transit_diversity_keys`], no destination-AS
 /// diversity is required: indexing by egress alone is exactly what
 /// lets more LSPs participate (§5).
 pub fn build_fec_trees(lsps: &[Lsp]) -> Vec<FecTree> {

@@ -95,7 +95,7 @@ proptest! {
         let seq = pipeline.run(&primary, &mapper, std::slice::from_ref(&keys));
         for threads in 1usize..=8 {
             let par =
-                pipeline.run_par(&primary, &mapper, std::slice::from_ref(&keys), threads);
+                pipeline.run_par(&primary, &mapper, std::slice::from_ref(&keys), threads, None);
             prop_assert_eq!(&par, &seq, "threads={}", threads);
         }
     }
@@ -122,7 +122,7 @@ proptest! {
         let keys = Pipeline::snapshot_keys(&future);
         let pipeline = Pipeline::default();
         let rec = lpr_obs::Recorder::new("par-prop");
-        let out = pipeline.run_par_recorded(
+        let out = pipeline.run_par(
             &primary,
             &mapper,
             std::slice::from_ref(&keys),

@@ -266,7 +266,7 @@ impl RecordIndex {
 }
 
 /// Sampled FNV-1a fingerprint: file length plus the first and last
-/// [`FINGERPRINT_SAMPLE`] bytes. Cheap on multi-gigabyte corpora while
+/// `FINGERPRINT_SAMPLE` (4 KiB) bytes. Cheap on multi-gigabyte corpora while
 /// catching truncation, append and header rewrites; a full-content
 /// hash would re-read everything the index exists to avoid.
 pub fn fingerprint_of(bytes: &[u8]) -> u64 {

@@ -1,7 +1,7 @@
 //! Indexed, sharded, bounded-memory ingest.
 //!
 //! [`ingest_cycle`] is the out-of-core counterpart of the in-memory
-//! pipeline's trace ingest ([`lpr_core::Pipeline::run_par_recorded`]'s
+//! pipeline's trace ingest ([`lpr_core::Pipeline::run_par`]'s
 //! front half): it cuts every file's record index into contiguous
 //! [`RangeTask`]s and maps them over [`lpr_par::map_shards`]. Each
 //! task decodes its trace records straight out of the file mapping

@@ -41,7 +41,7 @@ pub struct CampaignOptions {
     /// (`0` = available parallelism). Output is byte-identical for any
     /// value (deterministic shard-order merge). Defaults to 1: cycles
     /// are usually already sharded across threads by
-    /// [`run_cycles`](crate::run_cycles), and nesting pools oversubscribes.
+    /// [`run_cycles`], and nesting pools oversubscribes.
     pub threads: usize,
     /// Probing strategy: exhaustive every-pair walks (the default, the
     /// golden campaign shape) or the MDA/MDA-Lite stopping rules that
@@ -238,21 +238,14 @@ pub struct CycleAnalysis {
 /// Runs LPR over a rendered cycle with persistence window `j`
 /// (`j + 1 ≤ snapshots`; extra snapshots are ignored).
 pub fn analyze_cycle(world: &World, data: &CycleData, j: usize) -> CycleAnalysis {
-    let future: Vec<_> = data.snapshots[1..]
-        .iter()
-        .take(j)
-        .map(|traces| Pipeline::snapshot_keys(traces))
-        .collect();
-    let pipeline = Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-    let output = pipeline.run(&data.snapshots[0], world.rib(), &future);
-    let report = CycleReport::build(&data.snapshots[0], &output, world.rib());
-    CycleAnalysis { output, report }
+    analyze_cycle_revealed(world, data, j, &[])
 }
 
 /// [`analyze_cycle`] with the revelation classifier stage applied: the
 /// revealed evidence upgrades Unclassified (and diversity-hiding
 /// Mono-LSP) IOTPs before the per-AS report is built, so the report
-/// reflects the revealed diversity.
+/// reflects the revealed diversity. With no evidence the stage leaves
+/// the output untouched.
 pub fn analyze_cycle_revealed(
     world: &World,
     data: &CycleData,
@@ -331,6 +324,13 @@ mod tests {
         }
         // Vodafone is dynamic: its TE labels change between snapshots.
         assert!(out.dynamic_ases.contains(&VOD), "{:?}", out.dynamic_ases);
+
+        // With no evidence the revelation stage is the identity, so the
+        // analysis equals the bare pipeline run.
+        let future: Vec<_> =
+            data.snapshots[1..3].iter().map(|t| Pipeline::snapshot_keys(t)).collect();
+        let pipeline = Pipeline::new(FilterConfig { persistence_window: 2, ..Default::default() });
+        assert_eq!(*out, pipeline.run(&data.snapshots[0], world.rib(), &future));
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub fn run(world: &World, cycle: usize) -> Vec<Variant> {
     let base = Pipeline::new(FilterConfig { persistence_window: 2, ..Default::default() });
     let mut variants = Vec::new();
 
-    let run_with = |p: &Pipeline, j: usize| p.run_par(traces, rib, &futures[..j], 0).class_counts();
+    let run_with =
+        |p: &Pipeline, j: usize| p.run_par(traces, rib, &futures[..j], 0, None).class_counts();
 
     variants.push(Variant { name: "baseline (paper settings)", counts: run_with(&base, 2) });
 

@@ -37,8 +37,8 @@ pub fn run(world: &World, snapshots: usize) -> Vec<SweepRow> {
     for j in 0..snapshots {
         let pipeline =
             Pipeline::new(FilterConfig { persistence_window: j, ..Default::default() });
-        let out =
-            pipeline.run_par(&data.snapshots[0], world.rib(), &futures[..j.min(futures.len())], 0);
+        let future = &futures[..j.min(futures.len())];
+        let out = pipeline.run_par(&data.snapshots[0], world.rib(), future, 0, None);
         rows.push(SweepRow {
             j,
             lsps_kept: out.report.remaining[&FilterStage::Persistence],

@@ -140,7 +140,7 @@ impl Tunnel<'_> {
 
 /// One hidden- or invisible-tunnel traversal a forwarding walk made —
 /// ground truth the revelation property tests check against. Recorded
-/// only when [`probe_ladder`] is handed an oracle sink, and only for
+/// only when `probe_ladder` is handed an oracle sink, and only for
 /// LDP tunnels whose visibility is not explicit (explicit tunnels need
 /// no revelation).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -286,7 +286,7 @@ fn flow_path_interior(
 /// destination; `flow` is the Paris flow identifier (constant per
 /// trace).
 ///
-/// Implemented on the single-walk [`probe_ladder`]: since path choice
+/// Implemented on the single-walk `probe_ladder`: since path choice
 /// never depends on the TTL, the reply to TTL `t` is the `t`-th expiry
 /// event of one walk (or the walk's terminal beyond the last expiry).
 pub fn probe(net: &Internet, vp: Ipv4Addr, dst: Ipv4Addr, probe_ttl: u8, flow: u64) -> ProbeReply {

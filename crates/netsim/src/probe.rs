@@ -250,31 +250,6 @@ impl<'a> Prober<'a> {
         trace
     }
 
-    /// MDA-style multipath enumeration: traces the destination under
-    /// `flows` distinct flow identifiers and returns the distinct IP
-    /// paths observed (responsive-hop address sequences). The §5
-    /// validation campaign compares this IP-level view against the
-    /// label-level LPR classes.
-    #[deprecated(
-        since = "0.9.0",
-        note = "a fixed flow count samples blind; use `mda_discover`, whose \
-                stopping rule spends probes only while undiscovered branches \
-                remain plausible (pass the old count as `max_flows`)"
-    )]
-    pub fn mda_paths(&self, vp: Ipv4Addr, dst: Ipv4Addr, flows: usize) -> Vec<Vec<Ipv4Addr>> {
-        let mut paths = std::collections::BTreeSet::new();
-        for k in 0..flows {
-            let flow = splitmix64(
-                (u32::from(vp) as u64) ^ ((u32::from(dst) as u64) << 32) ^ (k as u64) << 17,
-            );
-            let trace = self.trace_with_flow(vp, dst, flow);
-            let path: Vec<Ipv4Addr> =
-                trace.responsive_hops().map(|h| h.addr.expect("responsive")).collect();
-            paths.insert(path);
-        }
-        paths.into_iter().collect()
-    }
-
     /// Runs a full campaign: every vantage point towards every
     /// destination, in row-major `(vp, dst)` order.
     pub fn campaign(&self, vps: &[Ipv4Addr], dsts: &[Ipv4Addr]) -> Vec<Trace> {

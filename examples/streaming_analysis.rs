@@ -1,8 +1,8 @@
 //! Bounded-memory analysis of a large warts file: stream records with
 //! `WartsStreamReader`, filter trace by trace with `CycleAccumulator`,
-//! classify at the end. This is the shape of a real CAIDA-scale run
-//! (the paper's cycles hold ~14 M LSPs — far too many to buffer as raw
-//! traces).
+//! then hand its ingest state to `Pipeline::finish_stages` to
+//! classify. This is the shape of a real CAIDA-scale run (the paper's
+//! cycles hold ~14 M LSPs — far too many to buffer as raw traces).
 //!
 //! ```sh
 //! cargo run --release -p lpr-examples --bin streaming_analysis
@@ -10,6 +10,7 @@
 
 use lpr_core::prelude::*;
 use lpr_core::stream::CycleAccumulator;
+use lpr_par::ShardOptions;
 use netsim::{
     AsSpec, Internet, MplsConfig, Peering, ProbeOptions, Prober, TePathMode, Topology,
     TopologyParams, Vendor,
@@ -86,7 +87,8 @@ fn main() {
     }
     println!("streamed {seen} traces; retained only {} filtered LSPs in memory", acc.retained());
 
-    let out = acc.finish(&Pipeline::default(), &[]);
+    let out =
+        Pipeline::default().finish_stages(acc.into_state(), &[], None, ShardOptions::new(1));
     let c = out.class_counts();
     println!(
         "classified {} IOTPs: {} Mono-LSP | {} Multi-FEC | {} Mono-FEC | {} unclassified",

@@ -73,7 +73,7 @@ fn main() {
 
     let keys = Pipeline::snapshot_keys(&traces);
     let pipeline = Pipeline::new(FilterConfig { persistence_window: 1, ..Default::default() });
-    let out = pipeline.run_recorded(&traces, &rib, &[keys], Some(&recorder));
+    let out = pipeline.run_par(&traces, &rib, &[keys], 1, Some(&recorder));
 
     // Close the root span before snapshotting so every span has an end.
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);

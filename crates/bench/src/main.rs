@@ -26,6 +26,7 @@
 
 use lpr_core::pipeline::Pipeline;
 use lpr_core::prelude::*;
+use lpr_obs::args::{self, Arg, ArgError, TraceOut};
 use lpr_obs::json::JsonValue;
 use lpr_obs::Recorder;
 use std::io::Write;
@@ -178,7 +179,8 @@ captured before the perf rewrite.
 
 `--alloc` attributes allocation counts (calls and requested bytes,
 tallied by a counting global allocator) to each stage, written under
-\"allocations\" in the report.
+\"allocations\" in the report. `--threads-sweep` and `--alloc` are
+demo-scale only: with `--scale` above 1 they are rejected.
 
 `--max-campaign-share F` exits non-zero when GenerateCampaign takes
 more than fraction F of the total stage wall time — the CI smoke
@@ -305,10 +307,9 @@ fn default_sweep() -> Vec<usize> {
 fn parse_sweep(spec: &str) -> Result<Vec<usize>, String> {
     let mut ns: Vec<usize> = Vec::new();
     for part in spec.split(',') {
-        let n: usize =
-            part.trim().parse().map_err(|e| format!("--threads-sweep `{part}`: {e}"))?;
+        let n: usize = part.trim().parse().map_err(|e| format!("`{part}`: {e}"))?;
         if n == 0 {
-            return Err("--threads-sweep wants thread counts >= 1".to_string());
+            return Err("wants thread counts >= 1".to_string());
         }
         ns.push(n);
     }
@@ -493,160 +494,326 @@ fn ceiling_breached(stats: &IngestStats, ceiling: Option<u64>) -> bool {
     }
 }
 
-fn pipeline(args: &[String]) -> i32 {
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut snapshots = 3usize;
-    let mut cycle = 40usize;
-    let mut threads = 1usize;
-    let mut sweep: Option<Vec<usize>> = None;
-    let mut alloc = false;
-    let mut max_campaign_share: Option<f64> = None;
-    let mut scale = 1usize;
-    let mut mem_ceiling: Option<u64> = None;
-    let mut probing = netsim::ProbingStrategy::Exhaustive;
-    let mut max_probes_per_dst: Option<f64> = None;
-    let mut trace_out: Option<String> = None;
-    let mut trace_level = lpr_obs::Level::Info;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
+/// Reports a malformed command line, then the usage text; exit code 2.
+fn usage_error(e: ArgError) -> i32 {
+    eprintln!("{e}\n{USAGE}");
+    2
+}
+
+/// `pipeline`'s flags. The demo-scale run and the `--scale` run both
+/// read this one struct.
+struct PipelineArgs {
+    out_path: String,
+    snapshots: usize,
+    cycle: usize,
+    threads: usize,
+    sweep: Option<Vec<usize>>,
+    alloc: bool,
+    max_campaign_share: Option<f64>,
+    scale: usize,
+    mem_ceiling: Option<u64>,
+    probing: netsim::ProbingStrategy,
+    max_probes_per_dst: Option<f64>,
+    trace: TraceOut,
+}
+
+impl PipelineArgs {
+    fn parse(args: &[String]) -> Result<PipelineArgs, ArgError> {
+        let mut p = PipelineArgs {
+            out_path: "BENCH_pipeline.json".to_string(),
+            snapshots: 3,
+            cycle: 40,
+            threads: 1,
+            sweep: None,
+            alloc: false,
+            max_campaign_share: None,
+            scale: 1,
+            mem_ceiling: None,
+            probing: netsim::ProbingStrategy::Exhaustive,
+            max_probes_per_dst: None,
+            trace: TraceOut::default(),
         };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--snapshots" => want(&mut it, "--snapshots").and_then(|v| {
-                v.parse().map(|n| snapshots = n).map_err(|e| format!("--snapshots: {e}"))
-            }),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--threads" => want(&mut it, "--threads").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("--threads wants at least 1".to_string())
-                        } else {
-                            threads = n;
-                            Ok(())
-                        }
-                    })
-            }),
-            "--threads-sweep" => {
-                // Optional value: a comma-separated thread-count list.
-                let explicit = it
-                    .clone()
-                    .next()
-                    .filter(|v| v.chars().next().is_some_and(|c| c.is_ascii_digit()));
-                if explicit.is_some() {
-                    it.next();
-                }
-                match explicit {
-                    Some(spec) => parse_sweep(spec).map(|ns| sweep = Some(ns)),
-                    None => {
-                        sweep = Some(default_sweep());
-                        Ok(())
-                    }
-                }
-            }
-            "--alloc" => {
-                alloc = true;
-                Ok(())
-            }
-            "--max-campaign-share" => {
-                want(&mut it, "--max-campaign-share").and_then(|v| {
-                    v.parse::<f64>()
-                        .map_err(|e| format!("--max-campaign-share: {e}"))
-                        .and_then(|f| {
-                            if f > 0.0 && f <= 1.0 {
-                                max_campaign_share = Some(f);
-                                Ok(())
-                            } else {
-                                Err("--max-campaign-share wants a fraction in (0, 1]".to_string())
-                            }
-                        })
-                })
-            }
-            "--scale" => want(&mut it, "--scale").and_then(|v| {
-                v.parse::<usize>().map_err(|e| format!("--scale: {e}")).and_then(|n| {
-                    if n == 0 {
-                        Err("--scale wants at least 1".to_string())
+        args::each(args, |arg, a| {
+            match arg {
+                Arg::Flag("--out") => p.out_path = a.value()?,
+                Arg::Flag("--snapshots") => p.snapshots = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+                Arg::Flag("--cycle") => p.cycle = a.parse()?,
+                Arg::Flag("--threads") => p.threads = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+                Arg::Flag("--threads-sweep") => {
+                    // Optional value: a comma-separated thread-count list.
+                    let listed =
+                        a.peek().is_some_and(|v| v.starts_with(|c: char| c.is_ascii_digit()));
+                    p.sweep = Some(if listed {
+                        parse_sweep(&a.value()?).map_err(|e| a.error(e))?
                     } else {
-                        scale = n;
-                        Ok(())
-                    }
-                })
-            }),
-            "--mem-ceiling-bytes" => want(&mut it, "--mem-ceiling-bytes").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("--mem-ceiling-bytes: {e}"))
-                    .map(|n| mem_ceiling = Some(n))
-            }),
-            "--probing" => want(&mut it, "--probing").and_then(|v| {
-                netsim::ProbingStrategy::parse(&v).map(|s| probing = s).ok_or_else(|| {
-                    format!("--probing `{v}` is not a strategy (exhaustive|mda|mda-lite)")
-                })
-            }),
-            "--max-probes-per-dst" => want(&mut it, "--max-probes-per-dst").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("--max-probes-per-dst: {e}"))
-                    .and_then(|f| {
-                        if f > 0.0 {
-                            max_probes_per_dst = Some(f);
-                            Ok(())
-                        } else {
-                            Err("--max-probes-per-dst wants a positive number".to_string())
-                        }
-                    })
-            }),
-            "--trace-out" => want(&mut it, "--trace-out").map(|v| trace_out = Some(v)),
-            "--trace-level" => want(&mut it, "--trace-level").and_then(|v| {
-                lpr_obs::Level::parse(&v)
-                    .map(|l| trace_level = l)
-                    .ok_or_else(|| format!("--trace-level `{v}` is not a level"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+                        default_sweep()
+                    });
+                }
+                Arg::Flag("--alloc") => p.alloc = true,
+                Arg::Flag("--max-campaign-share") => {
+                    let share =
+                        a.parse_where(|f| *f > 0.0 && *f <= 1.0, "wants a fraction in (0, 1]")?;
+                    p.max_campaign_share = Some(share);
+                }
+                Arg::Flag("--scale") => p.scale = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+                Arg::Flag("--mem-ceiling-bytes") => p.mem_ceiling = Some(a.parse()?),
+                Arg::Flag("--probing") => {
+                    let v = a.value()?;
+                    p.probing = netsim::ProbingStrategy::parse(&v).ok_or_else(|| {
+                        a.error(format!("`{v}` is not a strategy (exhaustive|mda|mda-lite)"))
+                    })?;
+                }
+                Arg::Flag("--max-probes-per-dst") => {
+                    let max = a.parse_where(|f| *f > 0.0, "wants a positive number")?;
+                    p.max_probes_per_dst = Some(max);
+                }
+                Arg::Flag(flag) if p.trace.accept(flag, a)? => {}
+                _ => return Err(a.unknown()),
+            }
+            Ok(())
+        })?;
+        if p.scale > 1 && (p.sweep.is_some() || p.alloc) {
+            return Err(ArgError(
+                "--threads-sweep and --alloc are demo-scale only; drop them or use --scale 1"
+                    .to_string(),
+            ));
         }
+        Ok(p)
     }
-    if snapshots == 0 {
-        eprintln!("--snapshots must be at least 1");
-        return 2;
-    }
-    if scale > 1 {
-        if sweep.is_some() {
-            eprintln!("--threads-sweep is demo-scale only; drop it or use --scale 1");
-            return 2;
+}
+
+/// What one `pipeline` run measured, on either path: the demo-scale
+/// run or the `--scale` run. [`pipeline`] gates, reports and prints it.
+struct PipelineRun {
+    /// The instrumented run's output.
+    out: lpr_core::pipeline::PipelineOutput,
+    /// Traces the instrumented run ingested.
+    traces: u64,
+    /// Traces per campaign snapshot (campaign-sweep throughput basis).
+    campaign_traces: u64,
+    /// The campaign's probe budget.
+    budget: netsim::ProbeBudget,
+    /// The out-of-core ingest phase.
+    ingest: IngestStats,
+    /// Pipeline sweep `(threads, wall_us, matches_sequential)` rows.
+    sweep_rows: Vec<(usize, u64, bool)>,
+    /// Campaign sweep `(threads, wall_us, matches_sequential)` rows.
+    campaign_rows: Vec<(usize, u64, bool)>,
+    /// Golden-fingerprint verdict; `None` when the shape was non-default
+    /// and the check did not run.
+    golden: Option<bool>,
+    /// Per-stage `(stage, allocations, bytes)`.
+    alloc_rows: Vec<(&'static str, u64, u64)>,
+    /// Whether any output diverged from its reference.
+    diverged: bool,
+}
+
+/// Best-of repetitions per thread-sweep point.
+const SWEEP_REPS: usize = 3;
+
+/// The range message of flags counting something that cannot be zero.
+const AT_LEAST_1: &str = "wants at least 1";
+
+fn pipeline(args: &[String]) -> i32 {
+    let p = match PipelineArgs::parse(args) {
+        Ok(p) => p,
+        Err(e) => return usage_error(e),
+    };
+    let tracer = p.trace.tracer();
+    let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
+    let run_span =
+        tracer.span(if p.scale > 1 { "run:bench-pipeline-scaled" } else { "run:bench-pipeline" });
+    tracer.set_default_parent(run_span.context());
+    netsim::igp::spf_cache_reset();
+    let run = if p.scale > 1 {
+        pipeline_scaled(&p, &recorder)
+    } else {
+        pipeline_demo(&p, &recorder)
+    };
+    let mut run = match run {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
+            return 1;
         }
-        return pipeline_scaled(ScaledParams {
-            out_path,
-            snapshots,
-            cycle,
-            threads,
-            scale,
-            mem_ceiling,
-            max_campaign_share,
-            probing,
-            max_probes_per_dst,
-            trace_out,
-            trace_level,
-        });
+    };
+
+    // Zero-copy Unsupported decode: eliding bodies must remove the
+    // body-sized allocation (measured after the ingest-phase peak
+    // readings so the check's own buffers stay out of them).
+    let (elide_verdict, elide_ok) = unsupported_elide_check();
+    if !elide_ok {
+        eprintln!(
+            "FAIL: eliding Unsupported bodies did not remove the body-sized \
+             decode allocation"
+        );
+        run.diverged = true;
     }
 
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
+    let telemetry = recorder.finish();
+
+    // CI perf tripwire: GenerateCampaign's share of total stage time.
+    // Per-worker rows ("worker0/Ingest", ...) re-count time already in
+    // their parent stage, so only top-level stages enter the sum.
+    let campaign_share = {
+        let total: u64 = telemetry
+            .stages
+            .iter()
+            .filter(|s| !s.name.contains('/'))
+            .map(|s| s.wall_us)
+            .sum();
+        let campaign = telemetry
+            .stages
+            .iter()
+            .find(|s| s.name == "GenerateCampaign")
+            .map_or(0, |s| s.wall_us);
+        campaign as f64 / total.max(1) as f64
     };
-    let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
-    let run_span = tracer.span("run:bench-pipeline");
-    tracer.set_default_parent(run_span.context());
+    let mut share_exceeded = false;
+    if let Some(ceiling) = p.max_campaign_share {
+        share_exceeded = campaign_share > ceiling;
+        if share_exceeded {
+            eprintln!(
+                "FAIL: GenerateCampaign takes {:.1}% of stage wall time \
+                 (ceiling {:.1}%)",
+                campaign_share * 100.0,
+                ceiling * 100.0,
+            );
+        }
+    }
+    let mem_breached = ceiling_breached(&run.ingest, p.mem_ceiling);
+    let probes_exceeded = probe_ceiling_breached(&run.budget, p.max_probes_per_dst);
+
+    let report = render_report(&telemetry, &run, &p, campaign_share, elide_verdict);
+    if let Err(e) = std::fs::write(&p.out_path, &report) {
+        eprintln!("{}: {e}", p.out_path);
+        return 1;
+    }
+
+    say!(
+        "{} traces, {} LSPs in, {} IOTPs classified, {} us total, {} thread(s)",
+        run.traces,
+        run.out.report.input,
+        run.out.iotps.len(),
+        telemetry.total_wall_us,
+        telemetry.threads,
+    );
+    for s in &telemetry.stages {
+        let rate = lpr_bench::throughput_text(s.wall_us, s.input);
+        say!(
+            "  {:<18} {:>8} -> {:<8} {:>10} us  {:>12} items/s",
+            s.name,
+            s.input,
+            s.output,
+            s.wall_us,
+            rate,
+        );
+    }
+    say!(
+        "GenerateCampaign share of stage wall time: {:.1}%",
+        campaign_share * 100.0
+    );
+    if p.alloc {
+        say!("allocations by stage:");
+        for (name, allocs, bytes) in &run.alloc_rows {
+            say!("  {:<18} {:>12} allocs  {:>14} bytes", name, allocs, bytes);
+        }
+    }
+    let avail = lpr_par::available_threads();
+    if !run.sweep_rows.is_empty() {
+        let seq_wall = run.sweep_rows[0].1;
+        say!("thread sweep ({} traces/run, best of {SWEEP_REPS}):", run.traces);
+        for (n, wall, matches) in &run.sweep_rows {
+            say!(
+                "  threads={:<3} {:>10} us  {:>12} traces/s  speedup {:>5.2}x  {}",
+                n,
+                wall,
+                lpr_bench::throughput_text(*wall, run.traces),
+                lpr_bench::speedup(seq_wall, *wall),
+                if *matches { "output identical" } else { "OUTPUT DIVERGED" },
+            );
+        }
+        // A regression signal, not an error: parallel slower than
+        // sequential is expected on a 1-core runner, suspicious on a
+        // multi-core one.
+        if avail > 1 {
+            for &(n, wall, _) in &run.sweep_rows {
+                if n > 1 && n <= avail && wall > seq_wall {
+                    say!(
+                        "warning: pipeline at {n} threads is slower than sequential \
+                         ({wall} us vs {seq_wall} us) on a {avail}-core host"
+                    );
+                }
+            }
+        }
+    }
+    if !run.campaign_rows.is_empty() {
+        let seq_wall = run.campaign_rows[0].1;
+        say!(
+            "campaign sweep ({} traces x {} snapshots):",
+            run.campaign_traces,
+            p.snapshots
+        );
+        for &(n, wall, matches) in &run.campaign_rows {
+            say!(
+                "  threads={:<3} {:>10} us  speedup {:>5.2}x  {}",
+                n,
+                wall,
+                lpr_bench::speedup(seq_wall, wall),
+                if matches { "bytes identical" } else { "BYTES DIVERGED" },
+            );
+        }
+        if avail > 1 {
+            for &(n, wall, _) in &run.campaign_rows {
+                if n > 1 && n <= avail && wall > seq_wall {
+                    say!(
+                        "warning: campaign at {n} probing threads is slower than \
+                         sequential ({wall} us vs {seq_wall} us) on a {avail}-core host"
+                    );
+                }
+            }
+        }
+    }
+    if let Some(matches) = run.golden {
+        say!("golden campaign fingerprint: {}", if matches { "match" } else { "MISMATCH" });
+    }
+    say_budget(p.probing, &run.budget);
+    run.ingest.say();
+    say!(
+        "unsupported-body elide: {}",
+        if elide_ok { "zero-copy (body-sized allocation removed)" } else { "COPY SURVIVED" }
+    );
+    let (hits, misses) = netsim::Internet::spf_cache_stats();
+    say!(
+        "spf cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
+        100.0 * hits as f64 / (hits + misses).max(1) as f64
+    );
+    say!("wrote {}", p.out_path);
+    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
+    drop(run_span);
+    if let Err(e) = p.trace.write(&tracer) {
+        eprintln!("{e}");
+        return 1;
+    }
+    if run.diverged {
+        eprintln!("determinism self-check failed");
+        return 1;
+    }
+    if share_exceeded || mem_breached || probes_exceeded {
+        return 1;
+    }
+    0
+}
+
+/// The demo-scale run: the longitudinal world at one cycle, encoded
+/// and decoded through warts, the pipeline at `--threads` (or swept),
+/// the campaign sweep and golden check under `--threads-sweep`, and the
+/// out-of-core leg over the same cycle.
+fn pipeline_demo(p: &PipelineArgs, recorder: &Recorder) -> Result<PipelineRun, String> {
+    let tracer = recorder.tracer();
     let mut diverged = false;
     // Per-stage allocation deltas: (stage, allocations, bytes).
     let mut alloc_rows: Vec<(&'static str, u64, u64)> = Vec::new();
-    netsim::igp::spf_cache_reset();
 
     // Demo-scale campaign: the longitudinal world at one cycle, with
     // enough extra snapshots to feed the Persistence filter.
@@ -654,8 +821,12 @@ fn pipeline(args: &[String]) -> i32 {
     let campaign_span = tracer.span("stage:GenerateCampaign");
     let sw = lpr_obs::Stopwatch::start();
     let world = ark_dataset::standard_world();
-    let opts = ark_dataset::CampaignOptions { snapshots, probing, ..Default::default() };
-    let data = ark_dataset::generate_cycle(&world, cycle, &opts);
+    let opts = ark_dataset::CampaignOptions {
+        snapshots: p.snapshots,
+        probing: p.probing,
+        ..Default::default()
+    };
+    let data = ark_dataset::generate_cycle(&world, p.cycle, &opts);
     let traces = &data.snapshots[0];
     drop(campaign_span);
     recorder.record_stage("GenerateCampaign", sw.elapsed_us(), 0, traces.len() as u64);
@@ -666,22 +837,21 @@ fn pipeline(args: &[String]) -> i32 {
     // bytes must match the fingerprint captured before the dense-SPF /
     // probe-ladder / parallel-probing rewrite. Any drift means the
     // optimisations changed observable output and the run fails.
-    let golden_checked = cycle == 40
-        && snapshots == 3
-        && sweep.is_some()
-        && probing == netsim::ProbingStrategy::Exhaustive;
-    let mut golden_matches = true;
-    if golden_checked {
+    let golden_checked = p.cycle == 40
+        && p.snapshots == 3
+        && p.sweep.is_some()
+        && p.probing == netsim::ProbingStrategy::Exhaustive;
+    let golden = golden_checked.then(|| {
         let fp = campaign_fingerprint(&data.snapshots);
-        golden_matches = fp == GOLDEN_CAMPAIGN_FNV;
-        if !golden_matches {
+        if fp != GOLDEN_CAMPAIGN_FNV {
             eprintln!(
                 "FAIL: campaign fingerprint {fp:#018x} != pinned golden \
                  {GOLDEN_CAMPAIGN_FNV:#018x}"
             );
             diverged = true;
         }
-    }
+        fp == GOLDEN_CAMPAIGN_FNV
+    });
 
     // Round-trip through the warts codec so ingest throughput reflects
     // real record decoding, tallied by the stream reader itself.
@@ -692,7 +862,7 @@ fn pipeline(args: &[String]) -> i32 {
     let list = writer.list(1, "bench");
     let cyc = writer.cycle_start(list, 1, 0);
     for t in traces {
-        writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
+        writer.trace(&warts::trace_to_record(t, list, cyc));
     }
     writer.cycle_stop(cyc, 1);
     let bytes = writer.into_bytes();
@@ -709,19 +879,15 @@ fn pipeline(args: &[String]) -> i32 {
     let alloc0 = counting_alloc::snapshot();
     let decode_span = tracer.span("stage:WartsDecode");
     let sw = lpr_obs::Stopwatch::start();
-    let metrics = warts::StreamMetrics::from_recorder(&recorder);
+    let metrics = warts::StreamMetrics::from_recorder(recorder);
     let mut decoded = Vec::new();
     let mut reader = warts::WartsStreamReader::new(bytes.as_slice()).with_metrics(metrics);
     let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-    loop {
-        match reader.next_trace_into(&mut trace) {
-            Ok(Some(warts::Decoded::Trace)) => decoded.push(trace.clone()),
-            Ok(Some(_)) => {}
-            Ok(None) => break,
-            Err(e) => {
-                eprintln!("warts decode failed: {e}");
-                return 1;
-            }
+    while let Some(step) =
+        reader.next_trace_into(&mut trace).map_err(|e| format!("warts decode failed: {e}"))?
+    {
+        if let warts::Decoded::Trace = step {
+            decoded.push(trace.clone());
         }
     }
     drop(decode_span);
@@ -753,10 +919,10 @@ fn pipeline(args: &[String]) -> i32 {
 
     // Sweep mode: time every thread count (best of SWEEP_REPS), verify
     // each output is byte-identical to the sequential run's.
-    const SWEEP_REPS: usize = 3;
+    let mut threads = p.threads;
     let mut sweep_rows: Vec<(usize, u64, bool)> = Vec::new();
     let mut seq_out = None;
-    if let Some(ns) = &sweep {
+    if let Some(ns) = &p.sweep {
         let (reference, mut seq_wall) = run_with(1, None);
         for _ in 1..SWEEP_REPS {
             seq_wall = seq_wall.min(run_with(1, None).1);
@@ -786,16 +952,11 @@ fn pipeline(args: &[String]) -> i32 {
     // traces byte-identical for any count — verified here against the
     // sequential campaign generated above.
     let mut campaign_rows: Vec<(usize, u64, bool)> = Vec::new();
-    if sweep.is_some() {
+    if p.sweep.is_some() {
         for n in CAMPAIGN_THREADS {
-            let copts = ark_dataset::CampaignOptions {
-                snapshots,
-                threads: n,
-                probing,
-                ..Default::default()
-            };
+            let copts = ark_dataset::CampaignOptions { threads: n, ..opts.clone() };
             let sw = lpr_obs::Stopwatch::start();
-            let d = ark_dataset::generate_cycle(&world, cycle, &copts);
+            let d = ark_dataset::generate_cycle(&world, p.cycle, &copts);
             let wall = sw.elapsed_us().max(1);
             let matches = d.snapshots == data.snapshots;
             if !matches {
@@ -812,7 +973,7 @@ fn pipeline(args: &[String]) -> i32 {
     // The instrumented run (at the sweep's top thread count, or
     // `--threads`): its telemetry is what lands in the report.
     let alloc0 = counting_alloc::snapshot();
-    let (out, _) = run_with(threads, Some(&recorder));
+    let (out, _) = run_with(threads, Some(recorder));
     let alloc1 = counting_alloc::snapshot();
     alloc_rows.push(("Pipeline", alloc1.0 - alloc0.0, alloc1.1 - alloc0.1));
     if let Some(reference) = &seq_out {
@@ -826,203 +987,20 @@ fn pipeline(args: &[String]) -> i32 {
     // cycle through mmap'd multi-file ingest must reproduce the
     // in-memory pipeline exactly, at every thread count, with both
     // persistence-window representations.
-    let (ooc_stats, ooc_diverged) = match out_of_core_demo(
-        &recorder,
-        &tracer,
-        &world,
-        &data.snapshots,
-        &decoded,
-        threads,
-        &mut alloc_rows,
-    ) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 1;
-        }
-    };
-    if ooc_diverged {
-        diverged = true;
-    }
-
-    // Zero-copy Unsupported decode: eliding bodies must remove the
-    // body-sized allocation (measured after the peak readings above so
-    // the check's own buffers stay out of the ingest-phase peaks).
-    let (elide_verdict, elide_ok) = unsupported_elide_check();
-    if !elide_ok {
-        eprintln!(
-            "FAIL: eliding Unsupported bodies did not remove the body-sized \
-             decode allocation"
-        );
-        diverged = true;
-    }
-
-    let telemetry = recorder.finish();
-
-    // CI perf tripwire: GenerateCampaign's share of total stage time.
-    // Per-worker rows ("worker0/Ingest", ...) re-count time already in
-    // their parent stage, so only top-level stages enter the sum.
-    let campaign_share = {
-        let total: u64 = telemetry
-            .stages
-            .iter()
-            .filter(|s| !s.name.contains('/'))
-            .map(|s| s.wall_us)
-            .sum();
-        let campaign = telemetry
-            .stages
-            .iter()
-            .find(|s| s.name == "GenerateCampaign")
-            .map_or(0, |s| s.wall_us);
-        campaign as f64 / total.max(1) as f64
-    };
-    let mut share_exceeded = false;
-    if let Some(ceiling) = max_campaign_share {
-        share_exceeded = campaign_share > ceiling;
-        if share_exceeded {
-            eprintln!(
-                "FAIL: GenerateCampaign takes {:.1}% of stage wall time \
-                 (ceiling {:.1}%)",
-                campaign_share * 100.0,
-                ceiling * 100.0,
-            );
-        }
-    }
-
-    let mem_breached = ceiling_breached(&ooc_stats, mem_ceiling);
-    let probes_exceeded = probe_ceiling_breached(&data.budget, max_probes_per_dst);
-
-    let extras = ReportExtras {
-        sweep_rows: &sweep_rows,
-        campaign_rows: &campaign_rows,
+    let (ingest, ooc_diverged) =
+        out_of_core_demo(recorder, &world, &data.snapshots, &decoded, threads, &mut alloc_rows)?;
+    Ok(PipelineRun {
+        out,
+        traces: decoded.len() as u64,
         campaign_traces: traces.len() as u64,
-        campaign_share,
-        golden: golden_checked.then_some(golden_matches),
-        alloc_rows: alloc.then_some(&alloc_rows[..]),
-        spf_cache: netsim::Internet::spf_cache_stats(),
-        ingest: Some(ooc_stats.to_json()),
-        probing: Some(probing_json(probing, &data.budget)),
-        unsupported_elide: Some(elide_verdict),
-    };
-    let report = render_report(&telemetry, &out, &extras);
-    if let Err(e) = std::fs::write(&out_path, &report) {
-        eprintln!("{out_path}: {e}");
-        return 1;
-    }
-
-    say!(
-        "{} traces, {} LSPs in, {} IOTPs classified, {} us total, {} thread(s)",
-        decoded.len(),
-        out.report.input,
-        out.iotps.len(),
-        telemetry.total_wall_us,
-        telemetry.threads,
-    );
-    for s in &telemetry.stages {
-        let rate = lpr_bench::throughput_text(s.wall_us, s.input);
-        say!(
-            "  {:<18} {:>8} -> {:<8} {:>10} us  {:>12} items/s",
-            s.name,
-            s.input,
-            s.output,
-            s.wall_us,
-            rate,
-        );
-    }
-    say!(
-        "GenerateCampaign share of stage wall time: {:.1}%",
-        campaign_share * 100.0
-    );
-    if alloc {
-        say!("allocations by stage:");
-        for (name, allocs, bytes) in &alloc_rows {
-            say!("  {:<18} {:>12} allocs  {:>14} bytes", name, allocs, bytes);
-        }
-    }
-    let avail = lpr_par::available_threads();
-    if !sweep_rows.is_empty() {
-        let seq_wall = sweep_rows[0].1;
-        say!("thread sweep ({} traces/run, best of {SWEEP_REPS}):", decoded.len());
-        for (n, wall, matches) in &sweep_rows {
-            say!(
-                "  threads={:<3} {:>10} us  {:>12} traces/s  speedup {:>5.2}x  {}",
-                n,
-                wall,
-                lpr_bench::throughput_text(*wall, decoded.len() as u64),
-                lpr_bench::speedup(seq_wall, *wall),
-                if *matches { "output identical" } else { "OUTPUT DIVERGED" },
-            );
-        }
-        // A regression signal, not an error: parallel slower than
-        // sequential is expected on a 1-core runner, suspicious on a
-        // multi-core one.
-        if avail > 1 {
-            for &(n, wall, _) in &sweep_rows {
-                if n > 1 && n <= avail && wall > seq_wall {
-                    say!(
-                        "warning: pipeline at {n} threads is slower than sequential \
-                         ({wall} us vs {seq_wall} us) on a {avail}-core host"
-                    );
-                }
-            }
-        }
-    }
-    if !campaign_rows.is_empty() {
-        let seq_wall = campaign_rows[0].1;
-        say!("campaign sweep ({} traces x {snapshots} snapshots):", traces.len());
-        for &(n, wall, matches) in &campaign_rows {
-            say!(
-                "  threads={:<3} {:>10} us  speedup {:>5.2}x  {}",
-                n,
-                wall,
-                lpr_bench::speedup(seq_wall, wall),
-                if matches { "bytes identical" } else { "BYTES DIVERGED" },
-            );
-        }
-        if avail > 1 {
-            for &(n, wall, _) in &campaign_rows {
-                if n > 1 && n <= avail && wall > seq_wall {
-                    say!(
-                        "warning: campaign at {n} probing threads is slower than \
-                         sequential ({wall} us vs {seq_wall} us) on a {avail}-core host"
-                    );
-                }
-            }
-        }
-    }
-    if golden_checked {
-        say!(
-            "golden campaign fingerprint: {}",
-            if golden_matches { "match" } else { "MISMATCH" }
-        );
-    }
-    say_budget(probing, &data.budget);
-    ooc_stats.say();
-    say!(
-        "unsupported-body elide: {}",
-        if elide_ok { "zero-copy (body-sized allocation removed)" } else { "COPY SURVIVED" }
-    );
-    let (hits, misses) = extras.spf_cache;
-    say!(
-        "spf cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
-    );
-    say!("wrote {out_path}");
-    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
-    drop(run_span);
-    if let Some(path) = &trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
-    }
-    if diverged {
-        eprintln!("determinism self-check failed");
-        return 1;
-    }
-    if share_exceeded || mem_breached || probes_exceeded {
-        return 1;
-    }
-    0
+        budget: data.budget,
+        ingest,
+        sweep_rows,
+        campaign_rows,
+        golden,
+        alloc_rows,
+        diverged: diverged || ooc_diverged,
+    })
 }
 
 /// The `mda` subcommand: benchmarks the stochastic prober against the
@@ -1036,44 +1014,21 @@ fn mda_cmd(args: &[String]) -> i32 {
     let mut cycle = 40usize;
     let mut hosts = 24usize;
     let mut max_probes_per_dst: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--hosts" => want(&mut it, "--hosts").and_then(|v| {
-                v.parse::<usize>().map_err(|e| format!("--hosts: {e}")).and_then(|n| {
-                    if n == 0 {
-                        Err("--hosts wants at least 1".to_string())
-                    } else {
-                        hosts = n;
-                        Ok(())
-                    }
-                })
-            }),
-            "--max-probes-per-dst" => want(&mut it, "--max-probes-per-dst").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|e| format!("--max-probes-per-dst: {e}"))
-                    .and_then(|f| {
-                        if f > 0.0 {
-                            max_probes_per_dst = Some(f);
-                            Ok(())
-                        } else {
-                            Err("--max-probes-per-dst wants a positive number".to_string())
-                        }
-                    })
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--out") => out_path = a.value()?,
+            Arg::Flag("--cycle") => cycle = a.parse()?,
+            Arg::Flag("--hosts") => hosts = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+            Arg::Flag("--max-probes-per-dst") => {
+                let max = a.parse_where(|f| *f > 0.0, "wants a positive number")?;
+                max_probes_per_dst = Some(max);
+            }
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
 
     let world = ark_dataset::standard_world();
@@ -1302,27 +1257,21 @@ fn revelation_cmd(args: &[String]) -> i32 {
         invisible: 0.2,
         opaque: 0.2,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--mix" => want(&mut it, "--mix").and_then(|v| {
-                netsim::VisibilityMix::parse(&v)
-                    .map(|m| mix = m)
-                    .ok_or_else(|| format!("--mix: cannot parse `{v}`"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--out") => out_path = a.value()?,
+            Arg::Flag("--cycle") => cycle = a.parse()?,
+            Arg::Flag("--mix") => {
+                let v = a.value()?;
+                mix = netsim::VisibilityMix::parse(&v)
+                    .ok_or_else(|| a.error(format!("cannot parse `{v}`")))?;
+            }
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
 
     let world = ark_dataset::standard_world();
@@ -1460,10 +1409,8 @@ fn revelation_cmd(args: &[String]) -> i32 {
 /// [`INGEST_THREADS`] count — with the in-memory window — and at
 /// `threads` with the spilled window (the instrumented, measured run).
 /// Returns the phase's measurements and whether anything diverged.
-#[allow(clippy::too_many_arguments)]
 fn out_of_core_demo(
     recorder: &Recorder,
-    tracer: &lpr_obs::Tracer,
     world: &ark_dataset::World,
     snapshots: &[Vec<lpr_core::trace::Trace>],
     decoded: &[lpr_core::trace::Trace],
@@ -1473,6 +1420,7 @@ fn out_of_core_demo(
     use lpr_core::pipeline::PersistenceWindow;
     use lpr_core::spill::KeySpiller;
 
+    let tracer = recorder.tracer();
     let tmp = std::env::temp_dir().join(format!("lpr-bench-corpus-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let mut diverged = false;
@@ -1608,39 +1556,17 @@ fn out_of_core_demo(
     Ok((stats, diverged))
 }
 
-/// Everything `pipeline_scaled` needs from the flag parser.
-struct ScaledParams {
-    out_path: String,
-    snapshots: usize,
-    cycle: usize,
-    threads: usize,
-    scale: usize,
-    mem_ceiling: Option<u64>,
-    probing: netsim::ProbingStrategy,
-    max_probes_per_dst: Option<f64>,
-    max_campaign_share: Option<f64>,
-    trace_out: Option<String>,
-    trace_level: lpr_obs::Level,
-}
-
 /// The paper-scale flow (`--scale` > 1): the cycle never exists in
 /// memory as a whole. Each snapshot is generated, persisted (snapshot 0
 /// becomes the multi-file corpus; later snapshots spill their LSP keys
 /// to sorted files) and dropped; the pipeline then runs purely
 /// out-of-core, with the 1/2/4/8 thread identity check against the run
 /// at `--threads` and the ingest-phase peak-memory accounting.
-fn pipeline_scaled(p: ScaledParams) -> i32 {
+fn pipeline_scaled(p: &PipelineArgs, recorder: &Recorder) -> Result<PipelineRun, String> {
     use lpr_core::pipeline::PersistenceWindow;
     use lpr_core::spill::KeySpiller;
 
-    let tracer = match &p.trace_out {
-        Some(_) => lpr_obs::Tracer::new(p.trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
-    let recorder = Recorder::new("lpr-bench pipeline").with_tracer(tracer.clone());
-    let run_span = tracer.span("run:bench-pipeline-scaled");
-    tracer.set_default_parent(run_span.context());
-    netsim::igp::spf_cache_reset();
+    let tracer = recorder.tracer();
     let mut diverged = false;
 
     let tmp = std::env::temp_dir().join(format!("lpr-bench-scale-{}", std::process::id()));
@@ -1684,18 +1610,13 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
         if snap == 0 {
             let sw = lpr_obs::Stopwatch::start();
             cycle_traces = traces.len() as u64;
-            paths = match lpr_corpus::write_corpus_files(
+            paths = lpr_corpus::write_corpus_files(
                 &tmp,
                 "cycle",
                 &traces,
                 corpus_file_count(traces.len()),
-            ) {
-                Ok(paths) => paths,
-                Err(e) => {
-                    eprintln!("corpus write: {e}");
-                    return 1;
-                }
-            };
+            )
+            .map_err(|e| format!("corpus write: {e}"))?;
             write_wall += sw.elapsed_us();
         } else {
             let sw = lpr_obs::Stopwatch::start();
@@ -1707,16 +1628,9 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
                 }
                 sp.finish()
             })();
-            match spill {
-                Ok(sp) => {
-                    spilled_keys_total += sp.count;
-                    spilled.push(sp);
-                }
-                Err(e) => {
-                    eprintln!("key spill: {e}");
-                    return 1;
-                }
-            }
+            let sp = spill.map_err(|e| format!("key spill: {e}"))?;
+            spilled_keys_total += sp.count;
+            spilled.push(sp);
             spill_wall += sw.elapsed_us();
         }
         drop(span);
@@ -1740,13 +1654,8 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
 
     let span = tracer.span("stage:IndexBuild");
     let sw = lpr_obs::Stopwatch::start();
-    let corpus = match lpr_corpus::Corpus::open_with(&paths, true, Some(&recorder)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("corpus index build: {e}");
-            return 1;
-        }
-    };
+    let corpus = lpr_corpus::Corpus::open_with(&paths, true, Some(recorder))
+        .map_err(|e| format!("corpus index build: {e}"))?;
     drop(span);
     recorder.record_stage("IndexBuild", sw.elapsed_us(), paths.len() as u64, corpus.total_records());
 
@@ -1769,13 +1678,7 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
     // it at every other INGEST_THREADS count.
     let span = tracer.span("stage:OutOfCoreIngest");
     let sw = lpr_obs::Stopwatch::start();
-    let out = match run_ooc(p.threads, Some(&recorder)) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("out-of-core pipeline: {e}");
-            return 1;
-        }
-    };
+    let out = run_ooc(p.threads, Some(recorder)).map_err(|e| format!("out-of-core pipeline: {e}"))?;
     let wall = sw.elapsed_us().max(1);
     drop(span);
     recorder.record_stage("OutOfCoreIngest", wall, corpus.total_traces(), out.report.input as u64);
@@ -1783,25 +1686,19 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
         if n == p.threads {
             continue;
         }
-        match run_ooc(n, None) {
-            Ok(o) => {
-                if o != out {
-                    eprintln!(
-                        "FAIL: out-of-core ingest at {n} thread(s) diverges from the \
-                         --threads {} run",
-                        p.threads
-                    );
-                    diverged = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("out-of-core pipeline at {n} thread(s): {e}");
-                return 1;
-            }
+        let o = run_ooc(n, None)
+            .map_err(|e| format!("out-of-core pipeline at {n} thread(s): {e}"))?;
+        if o != out {
+            eprintln!(
+                "FAIL: out-of-core ingest at {n} thread(s) diverges from the \
+                 --threads {} run",
+                p.threads
+            );
+            diverged = true;
         }
     }
 
-    let stats = IngestStats {
+    let ingest = IngestStats {
         scale: p.scale,
         threads: p.threads,
         corpus_files: paths.len() as u64,
@@ -1815,105 +1712,21 @@ fn pipeline_scaled(p: ScaledParams) -> i32 {
         peak_rss: if rss_reset { peak_rss_bytes() } else { None },
         peak_heap: counting_alloc::heap_peak(),
     };
-    let mem_breached = ceiling_breached(&stats, p.mem_ceiling);
-
-    let (elide_verdict, elide_ok) = unsupported_elide_check();
-    if !elide_ok {
-        eprintln!(
-            "FAIL: eliding Unsupported bodies did not remove the body-sized \
-             decode allocation"
-        );
-        diverged = true;
-    }
-
-    let telemetry = recorder.finish();
-    let campaign_share = {
-        let total: u64 = telemetry
-            .stages
-            .iter()
-            .filter(|s| !s.name.contains('/'))
-            .map(|s| s.wall_us)
-            .sum();
-        let campaign = telemetry
-            .stages
-            .iter()
-            .find(|s| s.name == "GenerateCampaign")
-            .map_or(0, |s| s.wall_us);
-        campaign as f64 / total.max(1) as f64
-    };
-    let mut share_exceeded = false;
-    if let Some(ceiling) = p.max_campaign_share {
-        share_exceeded = campaign_share > ceiling;
-        if share_exceeded {
-            eprintln!(
-                "FAIL: GenerateCampaign takes {:.1}% of stage wall time (ceiling {:.1}%)",
-                campaign_share * 100.0,
-                ceiling * 100.0,
-            );
-        }
-    }
-
-    let probes_exceeded = probe_ceiling_breached(&budget, p.max_probes_per_dst);
-    let extras = ReportExtras {
-        sweep_rows: &[],
-        campaign_rows: &[],
-        campaign_traces: cycle_traces,
-        campaign_share,
-        golden: None,
-        alloc_rows: None,
-        spf_cache: netsim::Internet::spf_cache_stats(),
-        ingest: Some(stats.to_json()),
-        probing: Some(probing_json(p.probing, &budget)),
-        unsupported_elide: Some(elide_verdict),
-    };
-    let report = render_report(&telemetry, &out, &extras);
-    if let Err(e) = std::fs::write(&p.out_path, &report) {
-        eprintln!("{}: {e}", p.out_path);
-        return 1;
-    }
-
-    say!(
-        "{} traces, {} LSPs in, {} IOTPs classified, {} us total, {} thread(s)",
-        corpus.total_traces(),
-        out.report.input,
-        out.iotps.len(),
-        telemetry.total_wall_us,
-        telemetry.threads,
-    );
-    for s in &telemetry.stages {
-        let rate = lpr_bench::throughput_text(s.wall_us, s.input);
-        say!(
-            "  {:<18} {:>8} -> {:<8} {:>10} us  {:>12} items/s",
-            s.name,
-            s.input,
-            s.output,
-            s.wall_us,
-            rate,
-        );
-    }
-    say_budget(p.probing, &budget);
-    stats.say();
-    say!(
-        "unsupported-body elide: {}",
-        if elide_ok { "zero-copy (body-sized allocation removed)" } else { "COPY SURVIVED" }
-    );
-    say!("wrote {}", p.out_path);
+    let traces = corpus.total_traces();
+    drop(corpus);
     let _ = std::fs::remove_dir_all(&tmp);
-    tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
-    drop(run_span);
-    if let Some(path) = &p.trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
-    }
-    if diverged {
-        eprintln!("determinism self-check failed");
-        return 1;
-    }
-    if share_exceeded || mem_breached || probes_exceeded {
-        return 1;
-    }
-    0
+    Ok(PipelineRun {
+        out,
+        traces,
+        campaign_traces: cycle_traces,
+        budget,
+        ingest,
+        sweep_rows: Vec::new(),
+        campaign_rows: Vec::new(),
+        golden: None,
+        alloc_rows: Vec::new(),
+        diverged,
+    })
 }
 
 /// Probing thread counts the campaign sweep regenerates the cycle at;
@@ -1936,7 +1749,7 @@ fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
         let list = w.list(1, "bench");
         let cyc = w.cycle_start(list, 1, 0);
         for t in traces {
-            w.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
+            w.trace(&warts::trace_to_record(t, list, cyc));
         }
         w.cycle_stop(cyc, 1);
         let mut h: u64 = 0xcbf29ce484222325;
@@ -1954,9 +1767,9 @@ fn campaign_fingerprint(snapshots: &[Vec<lpr_core::trace::Trace>]) -> u64 {
 fn parse_rates(spec: &str) -> Result<Vec<f64>, String> {
     let mut rates: Vec<f64> = Vec::new();
     for part in spec.split(',') {
-        let r: f64 = part.trim().parse().map_err(|e| format!("--rates `{part}`: {e}"))?;
+        let r: f64 = part.trim().parse().map_err(|e| format!("`{part}`: {e}"))?;
         if !(0.0..=1.0).contains(&r) {
-            return Err(format!("--rates `{part}`: fault rates live in [0, 1]"));
+            return Err(format!("`{part}`: fault rates live in [0, 1]"));
         }
         rates.push(r);
     }
@@ -2039,48 +1852,22 @@ fn chaos(args: &[String]) -> i32 {
     let mut snapshots = 3usize;
     let mut cycle = 40usize;
     let mut drift_bound = 0.5f64;
-    let mut trace_out: Option<String> = None;
-    let mut trace_level = lpr_obs::Level::Info;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--seed" => want(&mut it, "--seed").and_then(|v| {
-                v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))
-            }),
-            "--rates" => {
-                want(&mut it, "--rates").and_then(|v| parse_rates(&v).map(|rs| rates = rs))
-            }
-            "--snapshots" => want(&mut it, "--snapshots").and_then(|v| {
-                v.parse().map(|n| snapshots = n).map_err(|e| format!("--snapshots: {e}"))
-            }),
-            "--cycle" => want(&mut it, "--cycle").and_then(|v| {
-                v.parse().map(|n| cycle = n).map_err(|e| format!("--cycle: {e}"))
-            }),
-            "--drift-bound" => want(&mut it, "--drift-bound").and_then(|v| {
-                v.parse()
-                    .map(|b| drift_bound = b)
-                    .map_err(|e| format!("--drift-bound: {e}"))
-            }),
-            "--trace-out" => want(&mut it, "--trace-out").map(|v| trace_out = Some(v)),
-            "--trace-level" => want(&mut it, "--trace-level").and_then(|v| {
-                lpr_obs::Level::parse(&v)
-                    .map(|l| trace_level = l)
-                    .ok_or_else(|| format!("--trace-level `{v}` is not a level"))
-            }),
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+    let mut trace = TraceOut::default();
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--out") => out_path = a.value()?,
+            Arg::Flag("--seed") => seed = a.parse()?,
+            Arg::Flag("--rates") => rates = parse_rates(&a.value()?).map_err(|e| a.error(e))?,
+            Arg::Flag("--snapshots") => snapshots = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+            Arg::Flag("--cycle") => cycle = a.parse()?,
+            Arg::Flag("--drift-bound") => drift_bound = a.parse()?,
+            Arg::Flag(flag) if trace.accept(flag, a)? => {}
+            _ => return Err(a.unknown()),
         }
-    }
-    if snapshots == 0 {
-        eprintln!("--snapshots must be at least 1");
-        return 2;
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
 
     // The golden campaign every rate degrades a fresh copy of. Future
@@ -2105,10 +1892,7 @@ fn chaos(args: &[String]) -> i32 {
 
     // The trace journal is observational only: the chaos report itself
     // stays byte-reproducible (the trace file carries the wall times).
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
+    let tracer = trace.tracer();
     let run_span = tracer.span("run:bench-chaos");
     tracer.set_default_parent(run_span.context());
 
@@ -2162,7 +1946,7 @@ fn chaos(args: &[String]) -> i32 {
         let list = writer.list(1, "chaos");
         let cyc = writer.cycle_start(list, 1, 0);
         for t in &traces {
-            writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
+            writer.trace(&warts::trace_to_record(t, list, cyc));
         }
         writer.cycle_stop(cyc, 1);
         let bytes = writer.into_bytes();
@@ -2519,10 +2303,9 @@ fn chaos(args: &[String]) -> i32 {
     say!("wrote {out_path}");
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
-    if let Some(path) = &trace_out {
-        if !write_trace(&tracer, path) {
-            return 1;
-        }
+    if let Err(e) = trace.write(&tracer) {
+        eprintln!("{e}");
+        return 1;
     }
     if failed {
         eprintln!("chaos sweep failed (determinism, reconciliation, or drift)");
@@ -2531,61 +2314,27 @@ fn chaos(args: &[String]) -> i32 {
     0
 }
 
-/// Writes the tracer's journal as Chrome trace JSON, warning when the
-/// ring wrapped. Returns `false` on I/O failure.
-fn write_trace(tracer: &lpr_obs::Tracer, path: &str) -> bool {
-    let snapshot = tracer.snapshot();
-    if snapshot.dropped > 0 {
-        eprintln!(
-            "warning: trace journal wrapped, {} oldest events overwritten",
-            snapshot.dropped
-        );
-    }
-    match std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot)) {
-        Ok(()) => {
-            say!("wrote {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            false
-        }
-    }
-}
-
 fn compare_cmd(args: &[String]) -> i32 {
     let mut current_path: Option<String> = None;
     let mut against: Option<String> = None;
     let mut threshold = 0.5f64;
     let mut diff_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--against" => want(&mut it, "--against").map(|v| against = Some(v)),
-            "--threshold" => want(&mut it, "--threshold").and_then(|v| {
-                v.parse::<f64>().map_err(|e| format!("--threshold: {e}")).and_then(|f| {
-                    if f > 0.0 {
-                        threshold = f;
-                        Ok(())
-                    } else {
-                        Err("--threshold wants a positive fraction".to_string())
-                    }
-                })
-            }),
-            "--diff-out" => want(&mut it, "--diff-out").map(|v| diff_out = Some(v)),
-            other if !other.starts_with("--") && current_path.is_none() => {
-                current_path = Some(other.to_string());
-                Ok(())
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--against") => against = Some(a.value()?),
+            Arg::Flag("--threshold") => {
+                threshold = a.parse_where(|f| *f > 0.0, "wants a positive fraction")?
             }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+            Arg::Flag("--diff-out") => diff_out = Some(a.value()?),
+            Arg::Positional(path) if current_path.is_none() => {
+                current_path = Some(path.to_string())
+            }
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
     let (Some(current_path), Some(against)) = (current_path, against) else {
         eprintln!("compare wants <current.json> --against <baseline.json>\n{USAGE}");
@@ -2658,24 +2407,16 @@ fn compare_cmd(args: &[String]) -> i32 {
 fn baseline_cmd(args: &[String]) -> i32 {
     let mut in_path: Option<String> = None;
     let mut out_path = "results/BENCH_baseline.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--out" => it
-                .next()
-                .cloned()
-                .map(|v| out_path = v)
-                .ok_or_else(|| "--out wants a value".to_string()),
-            other if !other.starts_with("--") && in_path.is_none() => {
-                in_path = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--out") => out_path = a.value()?,
+            Arg::Positional(path) if in_path.is_none() => in_path = Some(path.to_string()),
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
     let Some(in_path) = in_path else {
         eprintln!("baseline wants <BENCH_pipeline.json>\n{USAGE}");
@@ -2698,32 +2439,6 @@ fn baseline_cmd(args: &[String]) -> i32 {
     }
     say!("wrote {out_path} (wall-time-free baseline of {in_path})");
     0
-}
-
-/// Everything `render_report` attaches beyond the raw telemetry.
-struct ReportExtras<'a> {
-    /// Pipeline sweep `(threads, wall_us, matches_sequential)` rows.
-    sweep_rows: &'a [(usize, u64, bool)],
-    /// Campaign sweep `(threads, wall_us, matches_sequential)` rows.
-    campaign_rows: &'a [(usize, u64, bool)],
-    /// Traces per campaign snapshot (campaign-sweep throughput basis).
-    campaign_traces: u64,
-    /// GenerateCampaign's fraction of total stage wall time.
-    campaign_share: f64,
-    /// Golden-fingerprint verdict; `None` when the shape was non-default
-    /// and the check did not run.
-    golden: Option<bool>,
-    /// Per-stage `(stage, allocations, bytes)`; `None` without `--alloc`.
-    alloc_rows: Option<&'a [(&'static str, u64, u64)]>,
-    /// Process-wide SPF cache `(hits, misses)` over the whole run.
-    spf_cache: (u64, u64),
-    /// The out-of-core ingest phase's measurements (see
-    /// [`IngestStats::to_json`]); `None` when the phase did not run.
-    ingest: Option<JsonValue>,
-    /// Probing strategy and probe-budget tallies (see [`probing_json`]).
-    probing: Option<JsonValue>,
-    /// The zero-copy Unsupported-body decode verdict.
-    unsupported_elide: Option<JsonValue>,
 }
 
 /// The "probing" report section: the campaign's strategy plus its
@@ -2815,8 +2530,10 @@ fn sweep_json(rows: &[(usize, u64, bool)], items: u64) -> JsonValue {
 /// `"campaign_sweep"`, `"golden_fingerprint"` and `"allocations"`.
 fn render_report(
     telemetry: &lpr_obs::RunTelemetry,
-    out: &lpr_core::pipeline::PipelineOutput,
-    extras: &ReportExtras<'_>,
+    run: &PipelineRun,
+    p: &PipelineArgs,
+    campaign_share: f64,
+    unsupported_elide: JsonValue,
 ) -> String {
     let inner = lpr_obs::json::parse(&telemetry.to_json()).expect("own JSON parses");
     let throughput: Vec<(String, JsonValue)> = telemetry
@@ -2825,7 +2542,8 @@ fn render_report(
         .map(|s| (s.name.clone(), lpr_bench::throughput_json(s.wall_us, s.input)))
         .collect();
     let traces = telemetry.counter("pipeline.traces");
-    let (spf_hits, spf_misses) = extras.spf_cache;
+    let (spf_hits, spf_misses) = netsim::Internet::spf_cache_stats();
+    let out = &run.out;
     let mut fields = vec![
         ("bench".to_string(), JsonValue::Str("pipeline".to_string())),
         ("iotps".to_string(), JsonValue::Int(out.iotps.len() as i128)),
@@ -2839,7 +2557,7 @@ fn render_report(
         ),
         ("telemetry".to_string(), inner),
         ("throughput_per_s".to_string(), JsonValue::Object(throughput)),
-        ("campaign_share".to_string(), JsonValue::Float(extras.campaign_share)),
+        ("campaign_share".to_string(), JsonValue::Float(campaign_share)),
         (
             "spf_cache".to_string(),
             JsonValue::Object(vec![
@@ -2854,16 +2572,16 @@ fn render_report(
             ]),
         ),
     ];
-    if !extras.sweep_rows.is_empty() {
-        fields.push(("thread_sweep".to_string(), sweep_json(extras.sweep_rows, traces)));
+    if !run.sweep_rows.is_empty() {
+        fields.push(("thread_sweep".to_string(), sweep_json(&run.sweep_rows, traces)));
     }
-    if !extras.campaign_rows.is_empty() {
+    if !run.campaign_rows.is_empty() {
         fields.push((
             "campaign_sweep".to_string(),
-            sweep_json(extras.campaign_rows, extras.campaign_traces),
+            sweep_json(&run.campaign_rows, run.campaign_traces),
         ));
     }
-    if let Some(matches) = extras.golden {
+    if let Some(matches) = run.golden {
         fields.push((
             "golden_fingerprint".to_string(),
             JsonValue::Object(vec![
@@ -2875,20 +2593,15 @@ fn render_report(
             ]),
         ));
     }
-    if let Some(ingest) = &extras.ingest {
-        fields.push(("ingest".to_string(), ingest.clone()));
-    }
-    if let Some(probing) = &extras.probing {
-        fields.push(("probing".to_string(), probing.clone()));
-    }
-    if let Some(elide) = &extras.unsupported_elide {
-        fields.push(("unsupported_elide".to_string(), elide.clone()));
-    }
-    if let Some(rows) = extras.alloc_rows {
+    fields.push(("ingest".to_string(), run.ingest.to_json()));
+    fields.push(("probing".to_string(), probing_json(p.probing, &run.budget)));
+    fields.push(("unsupported_elide".to_string(), unsupported_elide));
+    if p.alloc {
         fields.push((
             "allocations".to_string(),
             JsonValue::Object(
-                rows.iter()
+                run.alloc_rows
+                    .iter()
                     .map(|&(name, allocs, bytes)| {
                         (
                             name.to_string(),
@@ -2990,47 +2703,23 @@ fn serve_soak(args: &[String]) -> i32 {
     let mut threads = 1usize;
     let mut out_path = "BENCH_serve.json".to_string();
     let mut keep_spool = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--cycles" => want(&mut it, "--cycles").and_then(|v| {
-                v.parse().map(|n| cycles = n).map_err(|e| format!("--cycles: {e}"))
-            }),
-            "--chaos-rate" => want(&mut it, "--chaos-rate").and_then(|v| {
-                v.parse()
-                    .map_err(|e| format!("--chaos-rate: {e}"))
-                    .and_then(|f: f64| {
-                        if (0.0..=1.0).contains(&f) {
-                            chaos_rate = f;
-                            Ok(())
-                        } else {
-                            Err("--chaos-rate wants a fraction in [0,1]".to_string())
-                        }
-                    })
-            }),
-            "--seed" => want(&mut it, "--seed")
-                .and_then(|v| v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))),
-            "--threads" => want(&mut it, "--threads").and_then(|v| {
-                v.parse().map(|n| threads = n).map_err(|e| format!("--threads: {e}"))
-            }),
-            "--out" => want(&mut it, "--out").map(|v| out_path = v),
-            "--keep-spool" => {
-                keep_spool = true;
-                Ok(())
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--cycles") => cycles = a.parse_where(|n| *n >= 1, AT_LEAST_1)?,
+            Arg::Flag("--chaos-rate") => {
+                chaos_rate =
+                    a.parse_where(|f| (0.0..=1.0).contains(f), "wants a fraction in [0,1]")?
             }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+            Arg::Flag("--seed") => seed = a.parse()?,
+            Arg::Flag("--threads") => threads = a.parse()?,
+            Arg::Flag("--out") => out_path = a.value()?,
+            Arg::Flag("--keep-spool") => keep_spool = true,
+            _ => return Err(a.unknown()),
         }
-    }
-    if cycles == 0 {
-        eprintln!("--cycles wants at least 1\n{USAGE}");
-        return 2;
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
 
     let world = ark_dataset::standard_world();
@@ -3107,7 +2796,7 @@ fn serve_soak(args: &[String]) -> i32 {
         let list = writer.list(1, "soak");
         let cyc = writer.cycle_start(list, 1, 0);
         for t in &data.snapshots[0] {
-            writer.trace(&warts::trace_to_record(t, list, cyc)).expect("encode");
+            writer.trace(&warts::trace_to_record(t, list, cyc));
         }
         writer.cycle_stop(cyc, 1);
         let clean = writer.into_bytes();
@@ -3316,27 +3005,18 @@ fn corrupt_cmd(args: &[String]) -> i32 {
     let mut output: Option<String> = None;
     let mut rate = 0.10f64;
     let mut seed = 1u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let want = |it: &mut std::slice::Iter<'_, String>, flag: &str| {
-            it.next().cloned().ok_or_else(|| format!("{flag} wants a value"))
-        };
-        let parsed = match a.as_str() {
-            "--out" => want(&mut it, "--out").map(|v| output = Some(v)),
-            "--rate" => want(&mut it, "--rate")
-                .and_then(|v| v.parse().map(|f| rate = f).map_err(|e| format!("--rate: {e}"))),
-            "--seed" => want(&mut it, "--seed")
-                .and_then(|v| v.parse().map(|n| seed = n).map_err(|e| format!("--seed: {e}"))),
-            other if !other.starts_with("--") && input.is_none() => {
-                input = Some(other.to_string());
-                Ok(())
-            }
-            other => Err(format!("unknown flag {other}")),
-        };
-        if let Err(e) = parsed {
-            eprintln!("{e}\n{USAGE}");
-            return 2;
+    let parsed = args::each(args, |arg, a| {
+        match arg {
+            Arg::Flag("--out") => output = Some(a.value()?),
+            Arg::Flag("--rate") => rate = a.parse()?,
+            Arg::Flag("--seed") => seed = a.parse()?,
+            Arg::Positional(path) if input.is_none() => input = Some(path.to_string()),
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    });
+    if let Err(e) = parsed {
+        return usage_error(e);
     }
     let (Some(input), Some(output)) = (input, output) else {
         eprintln!("corrupt wants <in.warts> --out <out.warts>\n{USAGE}");

@@ -186,12 +186,9 @@ pub mod tunnels {
     use super::*;
     use lpr_core::tunnel::extract_tunnels;
 
-    /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        let traces = crate::load_traces(&o.inputs)?;
+    /// Executes the subcommand over warts file `paths`.
+    pub fn run(paths: &[String], w: &mut dyn Write) -> Result<(), CliError> {
+        let traces = crate::load_traces(paths)?;
         let mut total = 0usize;
         for trace in &traces {
             for t in extract_tunnels(trace) {
@@ -225,15 +222,16 @@ pub mod dump {
     use super::*;
     use warts::Record;
 
-    /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        for path in &o.inputs {
-            for rec in warts::read_path(path)
-                .map_err(|e| CliError(format!("{path}: {e}")))?
-            {
+    /// Executes the subcommand over warts file `paths`.
+    pub fn run(paths: &[String], w: &mut dyn Write) -> Result<(), CliError> {
+        for path in paths {
+            let bytes = std::fs::read(path).map_err(|e| CliError(format!("{path}: {e}")))?;
+            // Decoded whole before printing: a file that fails to decode
+            // prints nothing.
+            let records: Vec<Record> = warts::WartsStreamReader::new(bytes.as_slice())
+                .collect::<Result<_, _>>()
+                .map_err(|e| crate::read_error(path, e))?;
+            for rec in records {
                 match rec {
                     Record::Trace(t) => write!(w, "{}", warts::trace_to_text(&t))?,
                     Record::Ping(p) => write!(w, "{}", warts::ping_to_text(&p))?,
@@ -258,12 +256,9 @@ pub mod info {
     use super::*;
     use warts::Record;
 
-    /// Executes the subcommand.
-    pub fn run(o: &Options, w: &mut dyn Write) -> Result<(), CliError> {
-        if o.inputs.is_empty() {
-            return Err(CliError("no input warts files".into()));
-        }
-        for path in &o.inputs {
+    /// Executes the subcommand over warts file `paths`.
+    pub fn run(paths: &[String], w: &mut dyn Write) -> Result<(), CliError> {
+        for path in paths {
             let bytes =
                 std::fs::read(path).map_err(|e| CliError(format!("{path}: {e}")))?;
             let mut lists = 0usize;
@@ -273,9 +268,8 @@ pub mod info {
             let mut hops = 0usize;
             let mut mpls_hops = 0usize;
             let mut unsupported = 0usize;
-            let mut reader = warts::WartsReader::new(&bytes);
-            while let Some(rec) = reader.next_record().map_err(|e| CliError(format!("{path}: {e}")))? {
-                match rec {
+            for rec in warts::WartsStreamReader::new(bytes.as_slice()) {
+                match rec.map_err(|e| crate::read_error(path, e))? {
                     Record::List(_) => lists += 1,
                     Record::CycleStart(_) | Record::CycleStop(_) => cycles += 1,
                     Record::Trace(t) => {
@@ -304,6 +298,7 @@ pub mod serve {
     //! state, and serve snapshots/reports/metrics over HTTP.
 
     use super::*;
+    use lpr_obs::args::{self, Arg, Args};
     use lpr_serve::{Server, ServeConfig};
     use std::path::PathBuf;
     use std::time::Duration;
@@ -312,58 +307,32 @@ pub mod serve {
     /// Returns the config plus whether `--once` was given (run a
     /// bounded number of ticks and exit — for smoke tests).
     pub fn parse(args: &[String]) -> Result<(ServeConfig, Option<u64>), CliError> {
-        let mut spool = None;
-        let mut rib = None;
-        let mut cfg_overrides: Vec<(String, String)> = Vec::new();
+        let (mut spool, mut rib) = (None, None);
+        let mut cfg = ServeConfig::new(PathBuf::new(), PathBuf::new());
         let mut once = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let mut take = |flag: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| CliError(format!("{flag} wants a value")))
-            };
-            match a.as_str() {
-                "--spool" => spool = Some(take("--spool")?),
-                "--rib" => rib = Some(take("--rib")?),
-                "--addr" | "--window" | "--threads" | "--tick-ms" | "--ingest-timeout-ms"
-                | "--retries" | "--backoff-ms" | "--backoff-cap-ms" | "--growing-grace" => {
-                    let v = take(a)?;
-                    cfg_overrides.push((a.clone(), v));
+        args::each(args, |arg, a| {
+            let ms = |a: &mut Args| a.parse().map(Duration::from_millis);
+            match arg {
+                Arg::Flag("--spool") => spool = Some(a.parse::<PathBuf>()?),
+                Arg::Flag("--rib") => rib = Some(a.parse::<PathBuf>()?),
+                Arg::Flag("--addr") => cfg.addr = a.value()?,
+                Arg::Flag("--window") => {
+                    cfg.window = a.parse_where(|n| *n >= 1, "wants at least 1")?
                 }
-                "--once" => {
-                    let v = take("--once")?;
-                    once = Some(v.parse().map_err(|_| {
-                        CliError(format!("--once wants a tick count, got `{v}`"))
-                    })?);
-                }
-                other => return Err(CliError(format!("unknown serve flag {other}"))),
+                Arg::Flag("--threads") => cfg.threads = a.parse()?,
+                Arg::Flag("--tick-ms") => cfg.tick = ms(a)?,
+                Arg::Flag("--ingest-timeout-ms") => cfg.ingest_timeout = ms(a)?,
+                Arg::Flag("--retries") => cfg.retries = a.parse()?,
+                Arg::Flag("--backoff-ms") => cfg.backoff_base = ms(a)?,
+                Arg::Flag("--backoff-cap-ms") => cfg.backoff_cap = ms(a)?,
+                Arg::Flag("--growing-grace") => cfg.growing_grace = a.parse()?,
+                Arg::Flag("--once") => once = Some(a.parse()?),
+                _ => return Err(a.unknown()),
             }
-        }
-        let spool = spool.ok_or(CliError("--spool <dir> required".into()))?;
-        let rib = rib.ok_or(CliError("--rib <rib.txt> required".into()))?;
-        let mut cfg = ServeConfig::new(PathBuf::from(spool), PathBuf::from(rib));
-        for (flag, v) in cfg_overrides {
-            let num = || {
-                v.parse::<u64>()
-                    .map_err(|_| CliError(format!("{flag} wants a number, got `{v}`")))
-            };
-            match flag.as_str() {
-                "--addr" => cfg.addr = v.clone(),
-                "--window" => cfg.window = num()? as usize,
-                "--threads" => cfg.threads = num()? as usize,
-                "--tick-ms" => cfg.tick = Duration::from_millis(num()?),
-                "--ingest-timeout-ms" => cfg.ingest_timeout = Duration::from_millis(num()?),
-                "--retries" => cfg.retries = num()? as u32,
-                "--backoff-ms" => cfg.backoff_base = Duration::from_millis(num()?),
-                "--backoff-cap-ms" => cfg.backoff_cap = Duration::from_millis(num()?),
-                "--growing-grace" => cfg.growing_grace = num()? as u32,
-                _ => unreachable!("flag list is closed"),
-            }
-        }
-        if cfg.window == 0 {
-            return Err(CliError("--window must be at least 1".into()));
-        }
+            Ok(())
+        })?;
+        cfg.spool = spool.ok_or(CliError("--spool <dir> required".into()))?;
+        cfg.rib = rib.ok_or(CliError("--rib <rib.txt> required".into()))?;
         Ok((cfg, once))
     }
 
@@ -379,7 +348,7 @@ pub mod serve {
         match once {
             Some(ticks) => {
                 while handle.ticks() < ticks {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    std::thread::sleep(Duration::from_millis(20));
                 }
                 handle.stop();
                 Ok(0)
@@ -395,6 +364,7 @@ pub mod demo {
 
     use super::*;
     use lpr_core::lsp::Asn;
+    use lpr_obs::args::{self, Arg};
     use netsim::{
         AsSpec, Internet, MplsConfig, Peering, ProbeOptions, Prober, TePathMode, Topology,
         TopologyParams, Vendor, VisibilityMix,
@@ -453,7 +423,7 @@ pub mod demo {
         let list = writer.list(1, "demo");
         let cycle = writer.cycle_start(list, 1, 0);
         for t in &traces {
-            writer.trace(&warts::trace_to_record(t, list, cycle)).expect("encode");
+            writer.trace(&warts::trace_to_record(t, list, cycle));
         }
         writer.cycle_stop(cycle, 1);
         (writer.into_bytes(), rib_text)
@@ -461,27 +431,23 @@ pub mod demo {
 
     /// Executes the subcommand.
     pub fn run(args: &[String], w: &mut dyn Write) -> Result<(), CliError> {
-        let mut out_path = None;
-        let mut rib_path = None;
-        let mut visibility = None;
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--out" => out_path = it.next().cloned(),
-                "--rib-out" => rib_path = it.next().cloned(),
-                "--tunnel-visibility" => {
-                    let spec = it.next().ok_or(CliError(
-                        "--tunnel-visibility wants \
-                         explicit:F,implicit:F,invisible:F,opaque:F"
-                            .into(),
-                    ))?;
-                    visibility = Some(VisibilityMix::parse(spec).ok_or_else(|| {
-                        CliError(format!("--tunnel-visibility: cannot parse `{spec}`"))
+        let (mut out_path, mut rib_path, mut visibility) = (None, None, None);
+        args::each(args, |arg, a| {
+            match arg {
+                Arg::Flag("--out") => out_path = Some(a.value()?),
+                Arg::Flag("--rib-out") => rib_path = Some(a.value()?),
+                Arg::Flag("--tunnel-visibility") => {
+                    let spec = a.value()?;
+                    visibility = Some(VisibilityMix::parse(&spec).ok_or_else(|| {
+                        a.error(format!(
+                            "cannot parse `{spec}` (explicit:F,implicit:F,invisible:F,opaque:F)"
+                        ))
                     })?);
                 }
-                other => return Err(CliError(format!("unknown demo flag {other}"))),
+                _ => return Err(a.unknown()),
             }
-        }
+            Ok(())
+        })?;
         let out_path = out_path.ok_or(CliError("--out <file> required".into()))?;
         let rib_path = rib_path.ok_or(CliError("--rib-out <file> required".into()))?;
         let (bytes, rib) = write_demo_files_with(visibility);

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use lpr_core::prelude::*;
+use lpr_obs::args::{self, Arg, ArgError, TraceOut};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Write;
@@ -48,6 +49,12 @@ impl std::error::Error for CliError {}
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError(e.to_string())
+    }
+}
+
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError(e.0)
     }
 }
 
@@ -174,13 +181,10 @@ pub struct Options {
     /// Write machine-readable run telemetry (stage timings, counters)
     /// to this path as JSON.
     pub metrics: Option<String>,
-    /// Write a Chrome `trace_event` JSON span trace of the run
-    /// (`run → cycle → stage → shard`) to this path; load it in
+    /// `--trace-out`/`--trace-level`: a Chrome `trace_event` JSON span
+    /// trace of the run (`run → cycle → stage → shard`); load it in
     /// `chrome://tracing` or Perfetto.
-    pub trace_out: Option<String>,
-    /// Minimum level journaled by `--trace-out`
-    /// (debug/info/warn/error; default info).
-    pub trace_level: Option<lpr_obs::Level>,
+    pub trace: TraceOut,
     /// Write a Prometheus-style text exposition of the run's
     /// counter/gauge/histogram registry to this path.
     pub prom_out: Option<String>,
@@ -213,51 +217,31 @@ impl Options {
     /// Parses `args` after the subcommand name.
     pub fn parse(args: &[String]) -> Result<Options, CliError> {
         let mut o = Options::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--rib" => o.rib = Some(take(&mut it, "--rib")?),
-                "--next" => o.next.push(take(&mut it, "--next")?),
-                "--j" => {
-                    o.j = Some(
-                        take(&mut it, "--j")?
-                            .parse()
-                            .map_err(|_| err("--j wants an integer"))?,
-                    )
+        args::each(args, |arg, a| {
+            match arg {
+                Arg::Positional(path) => o.inputs.push(path.to_string()),
+                Arg::Flag("--rib") => o.rib = Some(a.value()?),
+                Arg::Flag("--next") => o.next.push(a.value()?),
+                Arg::Flag("--j") => o.j = Some(a.parse()?),
+                Arg::Flag("--alias-rescue") => o.alias_rescue = true,
+                Arg::Flag("--keep-going") => o.keep_going = true,
+                Arg::Flag("--fail-fast") => o.fail_fast = true,
+                Arg::Flag("--out-of-core") => o.out_of_core = true,
+                Arg::Flag("--spill-dir") => o.spill_dir = Some(a.value()?),
+                Arg::Flag("--trees") => o.trees = true,
+                Arg::Flag("--per-as") => o.per_as = true,
+                Arg::Flag("--router-level") => o.router_level = true,
+                Arg::Flag("--metrics") => o.metrics = Some(a.value()?),
+                Arg::Flag("--prom-out") => o.prom_out = Some(a.value()?),
+                Arg::Flag("--progress") => o.progress = true,
+                Arg::Flag("--threads") => {
+                    o.threads = Some(a.parse_where(|n| *n >= 1, "wants at least 1")?)
                 }
-                "--alias-rescue" => o.alias_rescue = true,
-                "--keep-going" => o.keep_going = true,
-                "--fail-fast" => o.fail_fast = true,
-                "--out-of-core" => o.out_of_core = true,
-                "--spill-dir" => o.spill_dir = Some(take(&mut it, "--spill-dir")?),
-                "--trees" => o.trees = true,
-                "--per-as" => o.per_as = true,
-                "--router-level" => o.router_level = true,
-                "--metrics" => o.metrics = Some(take(&mut it, "--metrics")?),
-                "--trace-out" => o.trace_out = Some(take(&mut it, "--trace-out")?),
-                "--trace-level" => {
-                    let level = take(&mut it, "--trace-level")?;
-                    o.trace_level = Some(lpr_obs::Level::parse(&level).ok_or_else(|| {
-                        err("--trace-level wants debug, info, warn or error")
-                    })?);
-                }
-                "--prom-out" => o.prom_out = Some(take(&mut it, "--prom-out")?),
-                "--progress" => o.progress = true,
-                "--threads" => {
-                    let n: usize = take(&mut it, "--threads")?
-                        .parse()
-                        .map_err(|_| err("--threads wants an integer"))?;
-                    if n == 0 {
-                        return Err(err("--threads wants at least 1"));
-                    }
-                    o.threads = Some(n);
-                }
-                flag if flag.starts_with("--") => {
-                    return Err(err(format!("unknown flag {flag}")))
-                }
-                path => o.inputs.push(path.to_string()),
+                Arg::Flag(flag) if o.trace.accept(flag, a)? => {}
+                Arg::Flag(_) => return Err(a.unknown()),
             }
-        }
+            Ok(())
+        })?;
         if o.keep_going && o.fail_fast {
             return Err(err("--keep-going and --fail-fast contradict each other"));
         }
@@ -268,8 +252,19 @@ impl Options {
     }
 }
 
-fn take(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, CliError> {
-    it.next().cloned().ok_or_else(|| err(format!("{flag} wants a value")))
+/// Parses the argument list of `tunnels`, `dump` and `info`: warts file
+/// paths only, at least one.
+fn parse_paths(args: &[String]) -> Result<Vec<String>, CliError> {
+    let mut paths = Vec::new();
+    args::each(args, |arg, a| {
+        let Arg::Positional(path) = arg else { return Err(a.unknown()) };
+        paths.push(path.to_string());
+        Ok(())
+    })?;
+    if paths.is_empty() {
+        return Err(err("no input warts files"));
+    }
+    Ok(paths)
 }
 
 /// Loads every trace from a list of warts files. A record that does
@@ -280,16 +275,22 @@ pub fn load_traces(paths: &[String]) -> Result<Vec<Trace>, CliError> {
     for path in paths {
         let bytes = std::fs::read(path).map_err(|e| err(format!("{path}: {e}")))?;
         let mut reader = warts::WartsStreamReader::new(bytes.as_slice());
-        let (_, first_failure) = decode_traces(&mut reader, &mut traces).map_err(|e| match e {
-            // Reported as the warts error itself, without the stream's prefix.
-            warts::StreamError::Decode(e) => err(format!("{path}: {e}")),
-            e => err(format!("{path}: {e}")),
-        })?;
+        let (_, first_failure) =
+            decode_traces(&mut reader, &mut traces).map_err(|e| read_error(path, e))?;
         if let Some(e) = first_failure {
             return Err(err(format!("{path}: {e}")));
         }
     }
     Ok(traces)
+}
+
+/// A strict read of `path` failed: decode errors are reported as the
+/// warts error itself, without the stream's `warts:` prefix.
+fn read_error(path: &str, e: warts::StreamError) -> CliError {
+    match e {
+        warts::StreamError::Decode(e) => err(format!("{path}: {e}")),
+        e => err(format!("{path}: {e}")),
+    }
 }
 
 /// Lenient warts loading (`--keep-going`): corrupt records are skipped
@@ -608,15 +609,8 @@ pub fn write_degradation_summary(
 /// the `--trace-level` threshold (default info).
 pub fn recorder_for(o: &Options, label: &str) -> Option<lpr_obs::Recorder> {
     let wanted =
-        o.metrics.is_some() || o.progress || o.trace_out.is_some() || o.prom_out.is_some();
-    wanted.then(|| {
-        let mut rec = lpr_obs::Recorder::new(label);
-        if o.trace_out.is_some() {
-            let level = o.trace_level.unwrap_or(lpr_obs::Level::Info);
-            rec = rec.with_tracer(lpr_obs::Tracer::new(level));
-        }
-        rec
-    })
+        o.metrics.is_some() || o.progress || o.trace.path.is_some() || o.prom_out.is_some();
+    wanted.then(|| lpr_obs::Recorder::new(label).with_tracer(o.trace.tracer()))
 }
 
 /// Opens the root `run` span of a traced invocation and makes it the
@@ -653,17 +647,7 @@ pub fn emit_telemetry(o: &Options, recorder: Option<lpr_obs::Recorder>) -> Resul
         std::fs::write(path, telemetry.to_json())
             .map_err(|e| err(format!("{path}: {e}")))?;
     }
-    if let Some(path) = &o.trace_out {
-        let snapshot = tracer.snapshot();
-        if snapshot.dropped > 0 {
-            eprintln!(
-                "[lpr] trace journal wrapped: {} oldest events overwritten",
-                snapshot.dropped
-            );
-        }
-        std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot))
-            .map_err(|e| err(format!("{path}: {e}")))?;
-    }
+    o.trace.write(&tracer).map_err(CliError)?;
     if let Some(path) = &o.prom_out {
         std::fs::write(path, lpr_obs::export::prometheus_text(&telemetry))
             .map_err(|e| err(format!("{path}: {e}")))?;
@@ -703,9 +687,9 @@ pub fn run(args: &[String], w: &mut dyn Write) -> Result<RunStatus, CliError> {
     match cmd {
         "classify" => commands::classify::run(&Options::parse(rest)?, w),
         "stats" => commands::stats::run(&Options::parse(rest)?, w),
-        "tunnels" => commands::tunnels::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
-        "info" => commands::info::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
-        "dump" => commands::dump::run(&Options::parse(rest)?, w).map(|()| RunStatus::Clean),
+        "tunnels" => commands::tunnels::run(&parse_paths(rest)?, w).map(|()| RunStatus::Clean),
+        "info" => commands::info::run(&parse_paths(rest)?, w).map(|()| RunStatus::Clean),
+        "dump" => commands::dump::run(&parse_paths(rest)?, w).map(|()| RunStatus::Clean),
         "demo" => commands::demo::run(rest, w).map(|()| RunStatus::Clean),
         "serve" => commands::serve::run(rest, w).map(|_code| RunStatus::Clean),
         "trace-check" => trace_check(rest, w).map(|()| RunStatus::Clean),
@@ -828,9 +812,40 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_an_error() {
-        assert!(Options::parse(&s(&["--bogus"])).is_err());
-        assert!(Options::parse(&s(&["--rib"])).is_err());
-        assert!(Options::parse(&s(&["--j", "x"])).is_err());
+        let err = |v: &[&str]| Options::parse(&s(v)).unwrap_err().to_string();
+        assert_eq!(err(&["--bogus"]), "unknown flag --bogus");
+        assert_eq!(err(&["--rib"]), "--rib wants a value");
+        assert!(err(&["--j", "x"]).starts_with("--j: `x`: "));
+        assert!(err(&["--trace-level", "loud"]).starts_with("--trace-level: `loud`: not a level"));
+    }
+
+    /// The exact argv the repository benchmark launches its daemon
+    /// with: a parser change that drops or renames one of these flags
+    /// fails here, not in a benchmark run.
+    #[test]
+    fn serve_parses_the_benchmark_daemon_argv() {
+        use std::path::PathBuf;
+        use std::time::Duration;
+        let argv = s(&[
+            "--spool", "D", "--rib", "R", "--window", "8", "--tick-ms", "5", "--threads", "1",
+            "--addr", "127.0.0.1:0",
+        ]);
+        let (cfg, once) = commands::serve::parse(&argv).unwrap();
+        assert_eq!(cfg.spool, PathBuf::from("D"));
+        assert_eq!(cfg.rib, PathBuf::from("R"));
+        assert_eq!(cfg.window, 8);
+        assert_eq!(cfg.tick, Duration::from_millis(5));
+        assert_eq!(cfg.threads, 1);
+        assert_eq!(cfg.addr, "127.0.0.1:0");
+        assert_eq!(once, None);
+        // Everything else keeps its default.
+        let defaults = lpr_serve::ServeConfig::new("D", "R");
+        assert_eq!(cfg.ingest_timeout, defaults.ingest_timeout);
+        assert_eq!((cfg.retries, cfg.growing_grace), (defaults.retries, defaults.growing_grace));
+        assert_eq!(
+            (cfg.backoff_base, cfg.backoff_cap),
+            (defaults.backoff_base, defaults.backoff_cap)
+        );
     }
 
     #[test]
@@ -954,7 +969,10 @@ mod tests {
         assert_eq!(o.threads, Some(4));
         assert_eq!(Options::parse(&s(&["a.warts"])).unwrap().threads, None);
         assert!(Options::parse(&s(&["--threads"])).is_err());
-        assert!(Options::parse(&s(&["--threads", "0"])).is_err());
+        assert_eq!(
+            Options::parse(&s(&["--threads", "0"])).unwrap_err().to_string(),
+            "--threads: wants at least 1"
+        );
         assert!(Options::parse(&s(&["--threads", "x"])).is_err());
     }
 
@@ -1153,7 +1171,7 @@ mod tests {
             &deep,
         ));
         let mut w = warts::WartsWriter::new();
-        w.trace(&warts::trace_to_record(&bad, 1, 1)).unwrap();
+        w.trace(&warts::trace_to_record(&bad, 1, 1));
         std::fs::write(&bad_path, w.into_bytes()).unwrap();
 
         let inputs = vec![warts_path, bad_path];

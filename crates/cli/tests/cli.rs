@@ -166,4 +166,30 @@ fn serve_flag_parsing_rejects_bad_input() {
     assert!(e.to_string().contains("--window"), "{e}");
     let e = run(&s(&["serve", "--spool", "x", "--rib", "r", "--bogus"]), &mut buf).unwrap_err();
     assert!(e.to_string().contains("--bogus"), "{e}");
+    let e = run(&s(&["serve", "--spool", "x", "--rib", "r", "--window", "0"]), &mut buf)
+        .unwrap_err();
+    assert_eq!(e.to_string(), "--window: wants at least 1");
+    let e = run(&s(&["serve", "--spool", "x", "--rib", "r", "--tick-ms", "soon"]), &mut buf)
+        .unwrap_err();
+    assert!(e.to_string().starts_with("--tick-ms: `soon`: "), "{e}");
+    let e = run(&s(&["serve", "--spool", "x", "--rib", "r", "--once"]), &mut buf).unwrap_err();
+    assert_eq!(e.to_string(), "--once wants a value");
+    let e = run(&s(&["serve", "--spool", "x", "stray"]), &mut buf).unwrap_err();
+    assert_eq!(e.to_string(), "unexpected argument stray");
+}
+
+#[test]
+fn file_commands_take_paths_only() {
+    let tmp = Tmp::new("paths-only");
+    let (warts, _) = demo_files(&tmp);
+    for cmd in ["dump", "info", "tunnels"] {
+        let mut buf = Vec::new();
+        let e = run(&s(&[cmd, &warts, "--threads", "4"]), &mut buf).unwrap_err();
+        assert_eq!(e.to_string(), "unknown flag --threads", "{cmd}");
+        assert!(buf.is_empty(), "{cmd} printed before rejecting its flags");
+        let e = run(&s(&[cmd]), &mut buf).unwrap_err();
+        assert_eq!(e.to_string(), "no input warts files", "{cmd}");
+    }
+    let e = run(&s(&["info", &warts, "--rib", "r.txt"]), &mut Vec::new()).unwrap_err();
+    assert_eq!(e.to_string(), "unknown flag --rib");
 }

@@ -323,7 +323,7 @@ mod tests {
                 HopRecord::reply(1, a(10 + i), 500),
                 HopRecord::reply(2, a(100 + i), 900),
             ];
-            w.trace(&t).unwrap();
+            w.trace(&t);
         }
         w.cycle_stop(cycle, 60);
         w.into_bytes()

@@ -34,9 +34,7 @@ pub fn write_corpus_files(
         let list = writer.list(1, stem);
         let cycle = writer.cycle_start(list, 1, 1_400_000_000);
         for trace in chunk {
-            writer
-                .trace(&trace_to_record(trace, 1, 1))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            writer.trace(&trace_to_record(trace, 1, 1));
         }
         writer.cycle_stop(cycle, 1_400_000_600);
         std::fs::write(&path, writer.into_bytes())?;

@@ -42,7 +42,7 @@ fn sample_stream() -> Vec<u8> {
             labelled,
             HopRecord::reply(3, a(200 + i % 8), 1500),
         ];
-        w.trace(&t).unwrap();
+        w.trace(&t);
     }
     w.cycle_stop(cycle, 8);
     w.into_bytes()
@@ -230,8 +230,8 @@ fn malformed_mpls_object_is_indexed_and_fails_conversion() {
     // whole number of label-stack entries.
     hop.icmp_exts = vec![IcmpExt { class: 1, kind: 1, data: vec![1, 2, 3] }];
     bad.hops = vec![hop, HopRecord::reply(2, a(99), 200)];
-    w.trace(&bad).unwrap();
-    w.trace(&TraceRecord::new(a(1), a(98))).unwrap();
+    w.trace(&bad);
+    w.trace(&TraceRecord::new(a(1), a(98)));
     w.cycle_stop(cycle, 1);
     let bytes = w.into_bytes();
 

@@ -176,3 +176,61 @@ fn corpus_counters_stay_inside_the_names_vocabulary() {
     assert_eq!(corpus.total_traces(), traces.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn ping_addresses_resolve_in_later_traces_out_of_core() {
+    // A ping embeds an address the file has not seen before; every
+    // later trace references it from the file-wide dictionary. Index
+    // preloads and range decodes must carry the ping's entries exactly
+    // as a sequential read does.
+    let traces = workload();
+    let lsr = ip(1, 2);
+    let mut w = warts::WartsWriter::new();
+    let list = w.list(1, "ping-first");
+    let cycle = w.cycle_start(list, 1, 0);
+    let mut ping = warts::PingRecord::new(Ipv4Addr::new(203, 0, 113, 5).into(), lsr.into());
+    ping.replies = vec![warts::PingReply::echo(lsr.into(), 4242)];
+    w.ping(&ping);
+    for t in &traces {
+        w.trace(&warts::trace_to_record(t, list, cycle));
+    }
+    w.cycle_stop(cycle, 1);
+    let dir = tmp("ping");
+    let path = dir.join("ping-first.warts");
+    std::fs::write(&path, w.into_bytes()).unwrap();
+
+    // Sequential read: the trace hop decodes to the ping's address.
+    let bytes = std::fs::read(&path).unwrap();
+    let mut reader = warts::WartsStreamReader::new(bytes.as_slice());
+    let mut trace = Trace::new(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
+    let mut loaded = Vec::new();
+    while let Some(decoded) = reader.next_trace_into(&mut trace).unwrap() {
+        assert!(matches!(decoded, warts::Decoded::Trace), "{decoded:?}");
+        loaded.push(trace.clone());
+    }
+    assert_eq!(loaded[0].hops[1].addr, Some(lsr));
+    assert_eq!(loaded, traces);
+    let keys = vec![Pipeline::snapshot_keys(&loaded)];
+    let pipeline = Pipeline::default();
+    let reference = pipeline.run_par(&loaded, &mapper, &keys, 1, None);
+    assert!(!reference.iotps.is_empty(), "workload must classify something");
+
+    // Out of core, with tasks small enough that most start past the ping.
+    let corpus = Corpus::open(std::slice::from_ref(&path)).unwrap();
+    for threads in [1usize, 4] {
+        let opts = IngestOptions { threads, records_per_task: 7 };
+        let (ingest, report) = ingest_cycle(&corpus, &mapper, opts, None);
+        assert_eq!(report.traces, traces.len() as u64, "threads={threads}");
+        assert_eq!((report.skipped_total(), report.convert_failures), (0, 0));
+        let out = pipeline
+            .finish_stages_windowed(
+                ingest,
+                PersistenceWindow::Mem(&keys),
+                None,
+                lpr_par::ShardOptions::new(threads),
+            )
+            .unwrap();
+        assert_eq!(out, reference, "threads={threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

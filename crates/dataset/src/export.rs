@@ -38,9 +38,7 @@ pub fn export_cycle(world: &World, data: &CycleData, dir: &Path) -> io::Result<E
         let start = (data.cycle as u32) * 2_592_000 + (snap as u32) * 86_400;
         let cycle_id = writer.cycle_start(list, data.cycle as u32, start);
         for t in traces {
-            writer
-                .trace(&warts::trace_to_record(t, list, cycle_id))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            writer.trace(&warts::trace_to_record(t, list, cycle_id));
         }
         writer.cycle_stop(cycle_id, start + 86_000);
         let path = dir.join(format!("cycle{:03}_snap{snap}.warts", data.cycle));
@@ -70,10 +68,9 @@ mod tests {
         assert_eq!(exported.snapshots.len(), 3);
 
         // Re-import the primary snapshot and compare with the original.
-        let records = warts::read_path(&exported.snapshots[0]).unwrap();
-        let traces: Vec<Trace> = records
-            .into_iter()
-            .filter_map(|r| match r {
+        let file = std::fs::File::open(&exported.snapshots[0]).unwrap();
+        let traces: Vec<Trace> = warts::WartsStreamReader::new(std::io::BufReader::new(file))
+            .filter_map(|r| match r.unwrap() {
                 warts::Record::Trace(t) => warts::trace_to_core(&t).unwrap(),
                 _ => None,
             })

@@ -35,6 +35,7 @@ use experiments::{
     ablations, fig16, fig17, fig6, fig789, longitudinal, mda_recall, revelation, summary,
     validation,
 };
+use lpr_obs::args::{self, Arg, ArgError, TraceOut};
 
 /// Runs one regenerator under an `exp:<name>` span so the trace shows
 /// where the wall time of an `all` run actually goes.
@@ -45,33 +46,15 @@ fn with_span(tracer: &lpr_obs::Tracer, name: &str, f: impl FnOnce()) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let cycles = args
-        .iter()
-        .position(|a| a == "--cycles")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(ark_dataset::CYCLES);
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let trace_level = match args
-        .iter()
-        .position(|a| a == "--trace-level")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(v) => lpr_obs::Level::parse(v).unwrap_or_else(|| {
-            eprintln!("--trace-level `{v}` is not a level (debug|info|warn|error)");
+    let (cmd, cycles, trace) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("experiments: {e}");
             std::process::exit(2);
-        }),
-        None => lpr_obs::Level::Info,
+        }
     };
-    let tracer = match &trace_out {
-        Some(_) => lpr_obs::Tracer::new(trace_level),
-        None => lpr_obs::Tracer::disabled(),
-    };
+    let cmd = cmd.as_str();
+    let tracer = trace.tracer();
     let run_span = tracer.span("run:experiments");
     tracer.set_default_parent(run_span.context());
 
@@ -162,18 +145,24 @@ fn main() {
 
     tracer.set_default_parent(lpr_obs::SpanContext::ROOT);
     drop(run_span);
-    if let Some(path) = &trace_out {
-        let snapshot = tracer.snapshot();
-        if snapshot.dropped > 0 {
-            eprintln!(
-                "warning: trace journal wrapped, {} oldest events overwritten",
-                snapshot.dropped
-            );
-        }
-        if let Err(e) = std::fs::write(path, lpr_obs::export::chrome_trace(&snapshot)) {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[trace] wrote {path}");
+    if let Err(e) = trace.write(&tracer) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
+}
+
+/// Parses `[command] [--cycles N] [--trace-out F] [--trace-level L]`;
+/// the command defaults to `all`.
+fn parse(args: &[String]) -> Result<(String, usize, TraceOut), ArgError> {
+    let (mut cmd, mut cycles, mut trace) = (None, ark_dataset::CYCLES, TraceOut::default());
+    args::each(args, |arg, a| {
+        match arg {
+            Arg::Positional(c) if cmd.is_none() => cmd = Some(c.to_string()),
+            Arg::Flag("--cycles") => cycles = a.parse()?,
+            Arg::Flag(flag) if trace.accept(flag, a)? => {}
+            _ => return Err(a.unknown()),
+        }
+        Ok(())
+    })?;
+    Ok((cmd.unwrap_or_else(|| "all".to_string()), cycles, trace))
 }

@@ -257,15 +257,16 @@ fn warts_roundtrip_preserves_classification() {
     let list = writer.list(1, "e2e");
     let cycle = writer.cycle_start(list, 1, 0);
     for t in &traces {
-        writer.trace(&warts::trace_to_record(t, list, cycle)).unwrap();
+        writer.trace(&warts::trace_to_record(t, list, cycle));
     }
     writer.cycle_stop(cycle, 1);
     let bytes = writer.into_bytes();
 
-    let records = warts::WartsReader::new(&bytes).traces().unwrap();
-    let reparsed: Vec<_> = records
-        .iter()
-        .filter_map(|r| warts::trace_to_core(r).unwrap())
+    let reparsed: Vec<_> = warts::WartsStreamReader::new(bytes.as_slice())
+        .filter_map(|r| match r.unwrap() {
+            warts::Record::Trace(t) => warts::trace_to_core(&t).unwrap(),
+            _ => None,
+        })
         .collect();
     assert_eq!(reparsed, traces);
 }

@@ -140,15 +140,15 @@ fn warts_roundtrips_two_entry_stacks() {
     let list = w.list(1, "vpn");
     let cycle = w.cycle_start(list, 1, 0);
     for t in &traces {
-        w.trace(&warts::trace_to_record(t, list, cycle)).unwrap();
+        w.trace(&warts::trace_to_record(t, list, cycle));
     }
     w.cycle_stop(cycle, 1);
     let bytes = w.into_bytes();
-    let parsed: Vec<_> = warts::WartsReader::new(&bytes)
-        .traces()
-        .unwrap()
-        .iter()
-        .filter_map(|r| warts::trace_to_core(r).unwrap())
+    let parsed: Vec<_> = warts::WartsStreamReader::new(bytes.as_slice())
+        .filter_map(|r| match r.unwrap() {
+            warts::Record::Trace(t) => warts::trace_to_core(&t).unwrap(),
+            _ => None,
+        })
         .collect();
     assert_eq!(parsed, traces);
 }

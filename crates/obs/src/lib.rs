@@ -18,7 +18,9 @@
 //!   [`export`] as Chrome `trace_event` JSON, folded stacks, or
 //!   Prometheus text;
 //! * [`names`] — the single vocabulary of metric names the workspace
-//!   emits.
+//!   emits;
+//! * [`args`] — the one flag grammar every binary parses its command
+//!   line with, and the `--trace-out` handling they share.
 //!
 //! ```
 //! use lpr_obs::Recorder;
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod export;
 pub mod json;
 pub mod names;

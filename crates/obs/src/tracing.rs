@@ -45,23 +45,27 @@ impl Level {
         }
     }
 
-    /// Parses a level name as written on a `--trace-level` flag.
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "debug" => Some(Level::Debug),
-            "info" => Some(Level::Info),
-            "warn" | "warning" => Some(Level::Warn),
-            "error" => Some(Level::Error),
-            _ => None,
-        }
-    }
-
     fn from_u8(v: u8) -> Level {
         match v {
             0 => Level::Debug,
             1 => Level::Info,
             2 => Level::Warn,
             _ => Level::Error,
+        }
+    }
+}
+
+/// Parses a level name as written on a `--trace-level` flag.
+impl std::str::FromStr for Level {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<Level, Self::Err> {
+        match s {
+            "debug" => Ok(Level::Debug),
+            "info" => Ok(Level::Info),
+            "warn" | "warning" => Ok(Level::Warn),
+            "error" => Ok(Level::Error),
+            _ => Err("not a level (debug|info|warn|error)"),
         }
     }
 }
@@ -499,10 +503,10 @@ mod tests {
     #[test]
     fn level_parsing() {
         for l in Level::ALL {
-            assert_eq!(Level::parse(l.name()), Some(l));
+            assert_eq!(l.name().parse(), Ok(l));
         }
-        assert_eq!(Level::parse("warning"), Some(Level::Warn));
-        assert_eq!(Level::parse("loud"), None);
+        assert_eq!("warning".parse(), Ok(Level::Warn));
+        assert!("loud".parse::<Level>().is_err());
         assert!(Level::Debug < Level::Error);
     }
 }

@@ -1,4 +1,5 @@
-//! File-level framing: record headers, [`WartsReader`], [`WartsWriter`].
+//! File-level framing: record headers, [`Record`], [`WartsWriter`]. Files
+//! are read with [`crate::WartsStreamReader`].
 //!
 //! Every record starts with an 8-byte header, big-endian:
 //!
@@ -12,7 +13,7 @@ use crate::cycle::{CycleRecord, CycleStopRecord};
 use crate::error::WartsError;
 use crate::list::ListRecord;
 use crate::ping::PingRecord;
-use crate::trace::{StopReason, TraceRecord};
+use crate::trace::TraceRecord;
 use bytes::{BufMut, BytesMut};
 
 /// The warts magic number.
@@ -116,72 +117,6 @@ pub enum Record {
     },
 }
 
-/// A streaming reader over an in-memory warts file.
-///
-/// Iterate it to obtain [`Record`]s; the file-wide address dictionary is
-/// threaded automatically. Iteration stops at the first structural
-/// error (warts gives no way to resynchronise after one).
-pub struct WartsReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    addrs: AddrTableReader<'static>,
-    failed: bool,
-}
-
-impl<'a> WartsReader<'a> {
-    /// Wraps a byte slice holding a warts file.
-    pub fn new(data: &'a [u8]) -> Self {
-        WartsReader { data, pos: 0, addrs: AddrTableReader::new(), failed: false }
-    }
-
-    /// Reads the next record, `Ok(None)` at end of file.
-    pub fn next_record(&mut self) -> Result<Option<Record>, WartsError> {
-        if self.failed || self.pos == self.data.len() {
-            return Ok(None);
-        }
-        let header_offset = self.pos;
-        let mut cur = Cursor::new(&self.data[self.pos..]);
-        let magic = cur.u16("record magic")?;
-        if magic != WARTS_MAGIC {
-            self.failed = true;
-            return Err(WartsError::BadMagic { offset: header_offset, found: magic });
-        }
-        let record_type = cur.u16("record type")?;
-        let len = cur.u32("record length")? as usize;
-        let body = cur.bytes(len, "record body").inspect_err(|_| {
-            self.failed = true;
-        })?;
-        self.pos += 8 + len;
-
-        decode_body(record_type, body, &mut self.addrs, true)
-            .inspect_err(|e| {
-                if matches!(e, WartsError::LengthMismatch { .. }) {
-                    self.failed = true;
-                }
-            })
-            .map(Some)
-    }
-
-    /// Reads every remaining trace record, skipping list/cycle records.
-    pub fn traces(&mut self) -> Result<Vec<TraceRecord>, WartsError> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record()? {
-            if let Record::Trace(t) = rec {
-                out.push(t);
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl Iterator for WartsReader<'_> {
-    type Item = Result<Record, WartsError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-}
-
 /// A writer building an in-memory warts file.
 pub struct WartsWriter {
     out: BytesMut,
@@ -267,19 +202,17 @@ impl WartsWriter {
     }
 
     /// Appends a traceroute record.
-    pub fn trace(&mut self, rec: &TraceRecord) -> Result<(), WartsError> {
+    pub fn trace(&mut self, rec: &TraceRecord) {
         let at = self.begin_record(RecordType::Trace);
         rec.write(&mut self.out, &mut self.addrs);
         self.end_record(at);
-        Ok(())
     }
 
     /// Appends a ping record.
-    pub fn ping(&mut self, rec: &PingRecord) -> Result<(), WartsError> {
+    pub fn ping(&mut self, rec: &PingRecord) {
         let at = self.begin_record(RecordType::Ping);
         rec.write(&mut self.out, &mut self.addrs);
         self.end_record(at);
-        Ok(())
     }
 
     /// Finishes the file and hands back its bytes (no copy).
@@ -302,32 +235,12 @@ fn to_owned(s: &str) -> String {
     s.to_string()
 }
 
-/// Checks whether a trace completed (destination replied).
-pub fn trace_completed(t: &TraceRecord) -> bool {
-    t.stop_reason == StopReason::Completed
-}
-
-/// Reads every record of a warts file on disk.
-pub fn read_path(path: impl AsRef<std::path::Path>) -> std::io::Result<Vec<Record>> {
-    let bytes = std::fs::read(path)?;
-    WartsReader::new(&bytes)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Writes a finished [`WartsWriter`]'s bytes to disk.
-pub fn write_path(
-    path: impl AsRef<std::path::Path>,
-    writer: WartsWriter,
-) -> std::io::Result<()> {
-    std::fs::write(path, writer.into_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::trace::HopRecord;
+    use crate::stream::{StreamError, WartsStreamReader};
+    use crate::trace::{HopRecord, StopReason};
     use std::net::Ipv4Addr;
 
     fn a(o: u8) -> Addr {
@@ -341,17 +254,32 @@ mod tests {
         let mut t = TraceRecord::new(a(1), a(9));
         t.stop_reason = StopReason::Completed;
         t.hops = vec![HopRecord::reply(1, a(2), 100), HopRecord::reply(2, a(9), 300)];
-        w.trace(&t).unwrap();
-        w.trace(&t).unwrap(); // same addresses -> dictionary reuse
+        w.trace(&t);
+        w.trace(&t); // same addresses -> dictionary reuse
         w.cycle_stop(cycle, 1_400_003_600);
         w.into_bytes()
     }
 
+    fn read_all(bytes: &[u8]) -> Result<Vec<Record>, StreamError> {
+        WartsStreamReader::new(bytes).collect()
+    }
+
+    /// Every IPv4 trace of `bytes`, read with `next_trace_into`.
+    fn core_traces(bytes: &[u8]) -> Vec<lpr_core::trace::Trace> {
+        let unspecified = Ipv4Addr::UNSPECIFIED;
+        let mut trace = lpr_core::trace::Trace::new(unspecified, unspecified);
+        let mut r = WartsStreamReader::new(bytes);
+        let mut out = Vec::new();
+        while let Some(decoded) = r.next_trace_into(&mut trace).unwrap() {
+            assert!(matches!(decoded, crate::Decoded::Trace), "{decoded:?}");
+            out.push(trace.clone());
+        }
+        out
+    }
+
     #[test]
     fn read_back_all_records() {
-        let bytes = sample_file();
-        let mut r = WartsReader::new(&bytes);
-        let recs: Vec<Record> = r.by_ref().collect::<Result<_, _>>().unwrap();
+        let recs = read_all(&sample_file()).unwrap();
         assert_eq!(recs.len(), 5);
         assert!(matches!(recs[0], Record::List(_)));
         assert!(matches!(recs[1], Record::CycleStart(_)));
@@ -360,15 +288,15 @@ mod tests {
         assert!(matches!(recs[4], Record::CycleStop(_)));
         if let (Record::Trace(t1), Record::Trace(t2)) = (&recs[2], &recs[3]) {
             assert_eq!(t1, t2);
+            assert_eq!(t1.stop_reason, StopReason::Completed);
         }
     }
 
     #[test]
-    fn traces_helper_skips_non_trace_records() {
-        let bytes = sample_file();
-        let traces = WartsReader::new(&bytes).traces().unwrap();
+    fn trace_reads_skip_non_trace_records() {
+        let traces = core_traces(&sample_file());
         assert_eq!(traces.len(), 2);
-        assert!(trace_completed(&traces[0]));
+        assert_eq!(traces[0].hops.len(), 2);
     }
 
     #[test]
@@ -376,9 +304,9 @@ mod tests {
         let mut w = WartsWriter::new();
         let mut t = TraceRecord::new(a(1), a(9));
         t.hops = vec![HopRecord::reply(1, a(2), 100)];
-        w.trace(&t).unwrap();
+        w.trace(&t);
         let after_first = w.len();
-        w.trace(&t).unwrap();
+        w.trace(&t);
         let second = w.len() - after_first;
         assert!(second < after_first, "{second} !< {after_first}");
     }
@@ -387,11 +315,11 @@ mod tests {
     fn bad_magic_reported_with_offset() {
         let mut bytes = sample_file();
         bytes[0] = 0xFF;
-        let mut r = WartsReader::new(&bytes);
-        assert_eq!(
-            r.next_record().unwrap_err(),
-            WartsError::BadMagic { offset: 0, found: 0xFF05 }
-        );
+        let mut r = WartsStreamReader::new(bytes.as_slice());
+        assert!(matches!(
+            r.next_record(),
+            Err(StreamError::Decode(WartsError::BadMagic { offset: 0, found: 0xFF05 }))
+        ));
         // Reader is poisoned afterwards.
         assert_eq!(r.next_record().unwrap(), None);
     }
@@ -399,10 +327,7 @@ mod tests {
     #[test]
     fn truncated_file_is_an_error() {
         let bytes = sample_file();
-        let cut = &bytes[..bytes.len() - 2];
-        let r = WartsReader::new(cut);
-        let result: Result<Vec<Record>, WartsError> = r.collect();
-        assert!(result.is_err());
+        assert!(read_all(&bytes[..bytes.len() - 2]).is_err());
     }
 
     #[test]
@@ -412,7 +337,7 @@ mod tests {
         bytes.extend_from_slice(&0x0Au16.to_be_bytes()); // tracelb
         bytes.extend_from_slice(&3u32.to_be_bytes());
         bytes.extend_from_slice(&[1, 2, 3]);
-        let mut r = WartsReader::new(&bytes);
+        let mut r = WartsStreamReader::new(bytes.as_slice());
         match r.next_record().unwrap().unwrap() {
             Record::Unsupported { record_type, body } => {
                 assert_eq!(record_type, 0x0A);
@@ -430,17 +355,16 @@ mod tests {
         let cycle = w.cycle_start(list, 1, 0);
         let mut t = TraceRecord::new(a(1), a(9));
         t.hops = vec![HopRecord::reply(1, a(2), 100)];
-        w.trace(&t).unwrap();
+        w.trace(&t);
         let mut p = crate::ping::PingRecord::new(a(1), a(9));
         // Ping reply reuses an address the trace embedded: the shared
         // dictionary must resolve it.
         p.replies = vec![crate::ping::PingReply::echo(a(9), 4242)];
-        w.ping(&p).unwrap();
+        w.ping(&p);
         w.cycle_stop(cycle, 1);
         let bytes = w.into_bytes();
 
-        let mut r = WartsReader::new(&bytes);
-        let recs: Vec<Record> = r.by_ref().collect::<Result<_, _>>().unwrap();
+        let recs = read_all(&bytes).unwrap();
         assert!(matches!(recs[2], Record::Trace(_)));
         match &recs[3] {
             Record::Ping(ping) => {
@@ -449,9 +373,22 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // `traces()` still skips pings.
-        let traces = WartsReader::new(&bytes).traces().unwrap();
+        // Trace reads still skip pings.
+        assert_eq!(core_traces(&bytes).len(), 1);
+
+        // The other direction: a ping embeds an address the file has not
+        // seen yet and a later trace references it. Ping bodies add to
+        // the file-wide dictionary, so a reader must decode pings even
+        // when it only wants traces.
+        let mut w = WartsWriter::new();
+        let mut p = crate::ping::PingRecord::new(a(1), a(9));
+        p.replies = vec![crate::ping::PingReply::echo(a(77), 4242)];
+        w.ping(&p);
+        t.hops = vec![HopRecord::reply(1, a(77), 100)];
+        w.trace(&t);
+        let traces = core_traces(&w.into_bytes());
         assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].hops[0].addr, Some(Ipv4Addr::new(10, 0, 0, 77)));
     }
 
     #[test]
@@ -466,44 +403,41 @@ mod tests {
         bytes.extend_from_slice(&(RecordType::List as u16).to_be_bytes());
         bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
         bytes.extend_from_slice(&body);
-        let mut r = WartsReader::new(&bytes);
+        let mut r = WartsStreamReader::new(bytes.as_slice());
         assert!(matches!(
             r.next_record(),
-            Err(WartsError::LengthMismatch { record_type: 1, .. })
+            Err(StreamError::Decode(WartsError::LengthMismatch { record_type: 1, .. }))
         ));
     }
 
     #[test]
     fn path_io_roundtrip() {
         let bytes = sample_file();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("warts-pathio-{}.warts", std::process::id()));
+        let path = std::env::temp_dir().join(format!("warts-pathio-{}.warts", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let records = read_path(&path).unwrap();
+        let file = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
+        let records: Vec<Record> = WartsStreamReader::new(file).collect::<Result<_, _>>().unwrap();
+        assert_eq!(records, read_all(&bytes).unwrap());
         assert_eq!(records.len(), 5);
         std::fs::remove_file(&path).unwrap();
-
-        let mut w = WartsWriter::new();
-        w.list(1, "x");
-        let path2 = dir.join(format!("warts-pathio2-{}.warts", std::process::id()));
-        write_path(&path2, w).unwrap();
-        assert_eq!(read_path(&path2).unwrap().len(), 1);
-        std::fs::remove_file(&path2).unwrap();
     }
 
     #[test]
-    fn read_path_surfaces_decode_errors() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("warts-bad-{}.warts", std::process::id()));
+    fn file_reads_surface_decode_errors() {
+        let path = std::env::temp_dir().join(format!("warts-bad-{}.warts", std::process::id()));
         std::fs::write(&path, [0xFFu8, 0x05, 0, 0]).unwrap();
-        let err = read_path(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let file = std::fs::File::open(&path).unwrap();
+        let err = WartsStreamReader::new(file).next_record().unwrap_err();
+        assert!(
+            matches!(err, StreamError::Decode(WartsError::Truncated { context: "record header" })),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_file_yields_nothing() {
-        let mut r = WartsReader::new(&[]);
+        let mut r = WartsStreamReader::new(&[][..]);
         assert_eq!(r.next_record().unwrap(), None);
     }
 }

@@ -40,7 +40,7 @@
 //! ## Example
 //!
 //! ```
-//! use warts::{WartsWriter, WartsReader, Record, TraceRecord, HopRecord};
+//! use warts::{WartsWriter, WartsStreamReader, Record, TraceRecord, HopRecord};
 //! use std::net::Ipv4Addr;
 //!
 //! let mut writer = WartsWriter::new();
@@ -51,12 +51,12 @@
 //!     Ipv4Addr::new(198, 51, 100, 9).into(),
 //! );
 //! trace.hops.push(HopRecord::reply(1, Ipv4Addr::new(10, 0, 0, 1).into(), 1200));
-//! writer.trace(&trace).unwrap();
+//! writer.trace(&trace);
 //! writer.cycle_stop(1, 1_400_000_600);
 //! let bytes = writer.into_bytes();
 //!
-//! let mut reader = WartsReader::new(&bytes);
-//! let records: Vec<Record> = reader.by_ref().collect::<Result<_, _>>().unwrap();
+//! let reader = WartsStreamReader::new(bytes.as_slice());
+//! let records: Vec<Record> = reader.collect::<Result<_, _>>().unwrap();
 //! assert_eq!(records.len(), 4);
 //! assert!(matches!(records[2], Record::Trace(_)));
 //! ```
@@ -82,7 +82,7 @@ pub use addr::{Addr, AddrTableReader};
 pub use convert::{decode_trace_into, trace_to_core, trace_to_record, Decoded};
 pub use cycle::{CycleRecord, CycleStopRecord};
 pub use error::WartsError;
-pub use file::{read_path, write_path, Record, RecordType, WartsReader, WartsWriter, WARTS_MAGIC};
+pub use file::{Record, RecordType, WartsWriter, WARTS_MAGIC};
 pub use icmpext::{IcmpExt, MPLS_EXT_CLASS, MPLS_EXT_TYPE};
 pub use list::ListRecord;
 pub use ping::{PingRecord, PingReply};

@@ -1,4 +1,4 @@
-//! Decoder-never-panics: the warts readers survive arbitrary
+//! Decoder-never-panics: the warts reader survives arbitrary
 //! corruption of real streams.
 //!
 //! `lpr-chaos` corrupts a realistic encoded stream (bit flips, cut
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use warts::{
     decode_record_body, decode_trace_into, AddrTableReader, Decoded, HopRecord, IcmpExt,
-    Record, RecordType, SkipReason, TraceRecord, WartsError, WartsReader, WartsStreamReader,
+    Record, RecordType, SkipReason, TraceRecord, WartsError, WartsStreamReader,
 };
 use lpr_core::label::Lse;
 use lpr_core::trace::Trace;
@@ -42,7 +42,7 @@ fn sample_stream() -> Vec<u8> {
             labelled,
             HopRecord::reply(3, a(200 + i % 8), 1500),
         ];
-        w.trace(&t).unwrap();
+        w.trace(&t);
     }
     w.cycle_stop(cycle, 6);
     w.into_bytes()
@@ -76,10 +76,6 @@ proptest! {
         // Strict streaming: drain until first error or clean end.
         let mut strict = WartsStreamReader::new(bytes.as_slice());
         while let Ok(Some(_)) = strict.next_record() {}
-
-        // Strict batch reader over the same bytes.
-        let mut batch = WartsReader::new(&bytes);
-        while let Ok(Some(_)) = batch.next_record() {}
 
         // Lenient streaming: always a clean end, and when corruption
         // actually landed somewhere, it is either absorbed by a skip or
@@ -151,14 +147,14 @@ fn mixed_stream() -> Vec<u8> {
             labelled,
             HopRecord::reply(6, a(200 + i), 1500), // TTLs 4-5 unanswered
         ];
-        w.trace(&t).unwrap();
+        w.trace(&t);
     }
     let mut bad = TraceRecord::new(a(1), a(250));
     let mut hop = HopRecord::reply(2, a(30), 900);
     hop.icmp_exts = vec![IcmpExt { class: 1, kind: 1, data: vec![1, 2, 3] }];
     bad.hops = vec![HopRecord::reply(1, a(31), 100), hop];
-    w.trace(&bad).unwrap();
-    w.trace(&TraceRecord::new(v6, a(251))).unwrap();
+    w.trace(&bad);
+    w.trace(&TraceRecord::new(v6, a(251)));
     w.cycle_stop(cycle, 6);
     w.into_bytes()
 }

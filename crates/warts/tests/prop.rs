@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use warts::{
-    HopRecord, IcmpExt, PingRecord, PingReply, Record, StopReason, TraceRecord, WartsReader,
+    HopRecord, IcmpExt, PingRecord, PingReply, Record, StopReason, TraceRecord, WartsStreamReader,
     WartsWriter,
 };
 use lpr_core::label::{LabelStack, Lse};
@@ -76,12 +76,12 @@ proptest! {
         let list = w.list(1, "prop");
         let cycle = w.cycle_start(list, 1, 0);
         for t in &traces {
-            w.trace(t).unwrap();
+            w.trace(t);
         }
         w.cycle_stop(cycle, 1);
         let bytes = w.into_bytes();
 
-        let mut reader = WartsReader::new(&bytes);
+        let mut reader = WartsStreamReader::new(bytes.as_slice());
         let mut got = Vec::new();
         while let Some(rec) = reader.next_record().unwrap() {
             if let Record::Trace(t) = rec {
@@ -120,9 +120,9 @@ proptest! {
             })
             .collect();
         let mut w = WartsWriter::new();
-        w.ping(&rec).unwrap();
+        w.ping(&rec);
         let bytes = w.into_bytes();
-        let mut reader = WartsReader::new(&bytes);
+        let mut reader = WartsStreamReader::new(bytes.as_slice());
         match reader.next_record().unwrap().unwrap() {
             Record::Ping(back) => prop_assert_eq!(back, rec),
             other => prop_assert!(false, "unexpected {:?}", other),
@@ -131,7 +131,7 @@ proptest! {
 
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut reader = WartsReader::new(&bytes);
+        let mut reader = WartsStreamReader::new(bytes.as_slice());
         // Either records or an error — never a panic, never an infinite
         // loop (bounded by input length).
         let mut n = 0usize;
@@ -152,13 +152,13 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         let mut w = WartsWriter::new();
-        w.trace(&trace).unwrap();
+        w.trace(&trace);
         let mut bytes = w.into_bytes();
         if !bytes.is_empty() {
             let i = flip_at.index(bytes.len());
             bytes[i] ^= 1 << flip_bit;
         }
-        let mut reader = WartsReader::new(&bytes);
+        let mut reader = WartsStreamReader::new(bytes.as_slice());
         while let Ok(Some(_)) = reader.next_record() {}
     }
 }

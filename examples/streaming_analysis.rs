@@ -59,13 +59,13 @@ fn main() {
     for &vp in &vps {
         for &dst in &dsts {
             let t = prober.trace(vp, dst);
-            writer.trace(&warts::trace_to_record(&t, list, cycle)).unwrap();
+            writer.trace(&warts::trace_to_record(&t, list, cycle));
             n += 1;
         }
     }
     writer.cycle_stop(cycle, 1);
     let path = std::env::temp_dir().join("lpr-streaming-demo.warts");
-    warts::write_path(&path, writer).expect("write warts file");
+    std::fs::write(&path, writer.into_bytes()).expect("write warts file");
     println!(
         "wrote {n} traces to {} ({} bytes)",
         path.display(),

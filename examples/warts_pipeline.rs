@@ -55,7 +55,7 @@ fn main() {
     let list = writer.list(1, "team-1");
     let cycle = writer.cycle_start(list, 1, 1_417_392_000);
     for t in &traces {
-        writer.trace(&warts::trace_to_record(t, list, cycle)).expect("serialise trace");
+        writer.trace(&warts::trace_to_record(t, list, cycle));
     }
     writer.cycle_stop(cycle, 1_417_478_400);
     let bytes = writer.into_bytes();
@@ -72,10 +72,11 @@ fn main() {
     }
 
     // --- Analysis side: parse the bytes back and run LPR. ------------
-    let records = warts::WartsReader::new(&bytes).traces().expect("parse warts");
-    let parsed: Vec<Trace> = records
-        .iter()
-        .filter_map(|r| warts::trace_to_core(r).expect("decode ICMP extensions"))
+    let parsed: Vec<Trace> = warts::WartsStreamReader::new(bytes.as_slice())
+        .filter_map(|r| match r.expect("parse warts") {
+            warts::Record::Trace(t) => warts::trace_to_core(&t).expect("decode ICMP extensions"),
+            _ => None,
+        })
         .collect();
     assert_eq!(parsed, traces, "lossless round-trip");
     println!("parsed {} trace records back, bit-identical to the originals", parsed.len());

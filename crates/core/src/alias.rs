@@ -14,10 +14,8 @@
 //! it, noting it mainly removes the Unclassified class — and is exposed
 //! here as [`classify_with_alias_heuristic`].
 
-use crate::classify::{classify_iotp, Class, Classification, MonoFecKind};
-use crate::label::Label;
+use crate::classify::{classify_iotp, mono_fec_kind, Class, Classification};
 use crate::lsp::Iotp;
-use std::collections::BTreeSet;
 
 /// Classifies an IOTP with Algorithm 1 and, when that yields
 /// `Unclassified`, retries using the penultimate hops of every branch as
@@ -30,30 +28,19 @@ pub fn classify_with_alias_heuristic(iotp: &Iotp) -> Classification {
     if base.class != Class::Unclassified {
         return base;
     }
-    let mut penultimate_labels: BTreeSet<Vec<Label>> = BTreeSet::new();
-    for branch in &iotp.branches {
-        match branch.hops.last() {
-            Some(h) => {
-                penultimate_labels.insert(h.labels());
-            }
-            None => return base,
-        }
+    let mut penultimate = iotp.branches.iter().map(|b| b.hops.last());
+    let Some(Some(first)) = penultimate.next() else { return base };
+    let mut labels_differ = false;
+    for hop in penultimate {
+        let Some(hop) = hop else { return base };
+        labels_differ |= !hop.same_labels(first);
     }
-    let class = if penultimate_labels.len() > 1 {
+    let class = if labels_differ {
         Class::MultiFec
     } else {
         // A single label at the virtual convergence point: ECMP
         // Mono-FEC. The subclass follows the standard rule.
-        let sigs: BTreeSet<Vec<Vec<Label>>> = iotp
-            .branches
-            .iter()
-            .map(|b| b.hops.iter().map(|h| h.labels()).collect())
-            .collect();
-        if sigs.len() <= 1 {
-            Class::MonoFec(MonoFecKind::ParallelLinks)
-        } else {
-            Class::MonoFec(MonoFecKind::RoutersDisjoint)
-        }
+        Class::MonoFec(mono_fec_kind(iotp))
     };
     Classification { class, common_ips: 1, multi_label_ips: Vec::new() }
 }
@@ -61,6 +48,7 @@ pub fn classify_with_alias_heuristic(iotp: &Iotp) -> Classification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::MonoFecKind;
     use crate::label::{LabelStack, Lse};
     use crate::lsp::{Asn, IotpKey, Lsp, LspHop};
     use std::net::Ipv4Addr;

@@ -21,9 +21,7 @@
 //!   PHP hides the labels at the only convergence point (the egress
 //!   LER). §5's alias heuristic ([`crate::alias`]) can rescue these.
 
-use crate::label::Label;
-use crate::lsp::Iotp;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lsp::{Branch, Iotp, LspHop};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -91,27 +89,46 @@ pub struct Classification {
     pub multi_label_ips: Vec<Ipv4Addr>,
 }
 
-/// The set of label-value sequences observed at each address across the
-/// IOTP's branches, restricted to addresses crossed by ≥2 branches.
+/// What Algorithm 1 reads off an IOTP's common IP addresses.
+pub(crate) struct CommonIps {
+    /// Addresses crossed by at least two distinct branches.
+    pub(crate) count: usize,
+    /// The common addresses that quote more than one label sequence, in
+    /// address order.
+    pub(crate) multi_label: Vec<Ipv4Addr>,
+}
+
+/// The `getCommonIP()` of Algorithm 1 (line 15) and the label count of
+/// line 21, in one scan.
 ///
-/// This is the `getCommonIP()` of Algorithm 1 (line 15): an address
-/// belongs to the common set when at least two *distinct* LSPs traverse
-/// it. The associated value collects every label signature quoted there,
-/// which line 21 then counts.
-pub fn common_ip_labels(iotp: &Iotp) -> BTreeMap<Ipv4Addr, BTreeSet<Vec<Label>>> {
-    // addr -> (branch indices that cross it, label signatures seen there)
-    let mut seen: BTreeMap<Ipv4Addr, (BTreeSet<usize>, BTreeSet<Vec<Label>>)> = BTreeMap::new();
+/// Every hop of every branch goes into one scratch vector sorted by
+/// `(address, branch)`, so each address is one run. An address is common
+/// when its run holds at least two distinct branches, and multi-label
+/// when any of its hops differs in label values from the run's first
+/// hop. Labels are compared in place; the scratch vector is the only
+/// allocation besides the result.
+pub(crate) fn common_ips(iotp: &Iotp) -> CommonIps {
+    let hops = iotp.branches.iter().map(|b| b.hops.len()).sum();
+    let mut scratch: Vec<(Ipv4Addr, usize, &LspHop)> = Vec::with_capacity(hops);
     for (bi, branch) in iotp.branches.iter().enumerate() {
-        for hop in &branch.hops {
-            let entry = seen.entry(hop.addr).or_default();
-            entry.0.insert(bi);
-            entry.1.insert(hop.labels());
+        scratch.extend(branch.hops.iter().map(|h| (h.addr, bi, h)));
+    }
+    scratch.sort_unstable_by_key(|&(addr, branch, _)| (addr, branch));
+
+    let mut common = CommonIps { count: 0, multi_label: Vec::new() };
+    for run in scratch.chunk_by(|a, b| a.0 == b.0) {
+        let (addr, first_branch, first_hop) = run[0];
+        // Sorted by branch within the run: distinct branches exist iff
+        // the last hop's branch differs from the first's.
+        if run[run.len() - 1].1 == first_branch {
+            continue;
+        }
+        common.count += 1;
+        if run[1..].iter().any(|&(_, _, h)| !h.same_labels(first_hop)) {
+            common.multi_label.push(addr);
         }
     }
-    seen.into_iter()
-        .filter(|(_, (branches, _))| branches.len() >= 2)
-        .map(|(addr, (_, labels))| (addr, labels))
-        .collect()
+    common
 }
 
 /// Classifies one IOTP (Algorithm 1 of the paper).
@@ -121,10 +138,10 @@ pub fn classify_iotp(iotp: &Iotp) -> Classification {
         return Classification { class: Class::MonoLsp, common_ips: 0, multi_label_ips: Vec::new() };
     }
 
-    let common = common_ip_labels(iotp);
+    let common = common_ips(iotp);
 
     // Lines 16–19: no common IP address => Unclassified.
-    if common.is_empty() {
+    if common.count == 0 {
         return Classification {
             class: Class::Unclassified,
             common_ips: 0,
@@ -133,25 +150,19 @@ pub fn classify_iotp(iotp: &Iotp) -> Classification {
     }
 
     // Lines 20–25: any common IP with more than one label => Multi-FEC.
-    let multi_label_ips: Vec<Ipv4Addr> = common
-        .iter()
-        .filter(|(_, labels)| labels.len() > 1)
-        .map(|(addr, _)| *addr)
-        .collect();
-    if !multi_label_ips.is_empty() {
+    if !common.multi_label.is_empty() {
         return Classification {
             class: Class::MultiFec,
-            common_ips: common.len(),
-            multi_label_ips,
+            common_ips: common.count,
+            multi_label_ips: common.multi_label,
         };
     }
 
     // Lines 26–28: every common IP carries a single label => ECMP
     // Mono-FEC. Subclass split per §3.2's discussion of Fig. 4c/4d.
-    let kind = mono_fec_kind(iotp);
     Classification {
-        class: Class::MonoFec(kind),
-        common_ips: common.len(),
+        class: Class::MonoFec(mono_fec_kind(iotp)),
+        common_ips: common.count,
         multi_label_ips: Vec::new(),
     }
 }
@@ -163,16 +174,15 @@ pub fn classify_iotp(iotp: &Iotp) -> Classification {
 /// *Routers Disjoint*: at least one hop position differs in both labels
 /// and addresses (or the branches have different lengths, which identical
 /// label sequences cannot produce).
-fn mono_fec_kind(iotp: &Iotp) -> MonoFecKind {
-    let mut signatures = iotp
-        .branches
-        .iter()
-        .map(|b| b.hops.iter().map(|h| h.labels()).collect::<Vec<_>>());
-    let first = match signatures.next() {
-        Some(s) => s,
-        None => return MonoFecKind::ParallelLinks,
+pub(crate) fn mono_fec_kind(iotp: &Iotp) -> MonoFecKind {
+    let Some((first, rest)) = iotp.branches.split_first() else {
+        return MonoFecKind::ParallelLinks;
     };
-    if signatures.all(|s| s == first) {
+    let labels_as_first = |b: &Branch| {
+        b.hops.len() == first.hops.len()
+            && b.hops.iter().zip(&first.hops).all(|(x, y)| x.same_labels(y))
+    };
+    if rest.iter().all(labels_as_first) {
         MonoFecKind::ParallelLinks
     } else {
         MonoFecKind::RoutersDisjoint
@@ -331,7 +341,12 @@ mod tests {
         // The same LSP observed twice is ONE branch: its hop addresses
         // are not "common" on their own.
         let iotp = iotp_of(&[lsp(&[(2, 100)], 1), lsp(&[(2, 100)], 2)]);
-        assert!(common_ip_labels(&iotp).is_empty());
+        assert_eq!(iotp.width(), 1);
+        assert_eq!(common_ips(&iotp).count, 0);
+        // A second branch through the same address makes it common.
+        let iotp = iotp_of(&[lsp(&[(2, 100)], 1), lsp(&[(2, 100), (3, 200)], 2)]);
+        assert_eq!(common_ips(&iotp).count, 1);
+        assert!(common_ips(&iotp).multi_label.is_empty());
     }
 
     #[test]

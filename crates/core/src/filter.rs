@@ -263,9 +263,12 @@ pub fn persistence(
 }
 
 /// The per-LSP half of the Persistence filter: `flags[i]` is whether
-/// `lsps[i]` is re-observed inside the window. This is the expensive
-/// part — [`Lsp::key`] allocates the full signature — and is a pure
-/// per-item map, so the parallel pipeline shards it.
+/// `lsps[i]` is re-observed inside the window. Each probe builds the
+/// LSP's [`Lsp::key`] and looks it up in up to `j` sets; this is a pure
+/// per-item map, so the parallel pipeline shards it. An empty window
+/// (a live daemon has no future snapshots) answers all-false without
+/// building any key, as [`crate::spill::persistent_flags_spilled`]
+/// does.
 pub fn persistent_flags(
     lsps: &[Lsp],
     future_keys: &[BTreeSet<LspKey>],
@@ -275,6 +278,9 @@ pub fn persistent_flags(
         return vec![true; lsps.len()];
     }
     let window = &future_keys[..config.persistence_window.min(future_keys.len())];
+    if window.is_empty() {
+        return vec![false; lsps.len()];
+    }
     lsps.iter()
         .map(|l| {
             let key = l.key();

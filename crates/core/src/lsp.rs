@@ -54,6 +54,14 @@ impl LspHop {
     pub fn labels(&self) -> Vec<Label> {
         self.stack.label_values()
     }
+
+    /// Whether both hops quote the same label values, outermost first.
+    /// TC, S and TTL are ignored, as in [`LspHop::labels`], but nothing
+    /// is allocated.
+    pub fn same_labels(&self, other: &LspHop) -> bool {
+        let (a, b) = (self.stack.entries(), other.stack.entries());
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.label == y.label)
+    }
 }
 
 impl fmt::Debug for LspHop {
@@ -166,20 +174,22 @@ impl Iotp {
 
     /// Merges an LSP observation into the IOTP, deduplicating by LSP
     /// signature. The LSP must share the IOTP's key.
+    ///
+    /// Signatures are compared in place, so an observation of a known
+    /// branch allocates nothing unless it brings a new destination AS.
     pub fn absorb(&mut self, lsp: &Lsp) {
         debug_assert_eq!(lsp.iotp_key(), self.key);
-        let sig: Vec<(Ipv4Addr, Vec<Label>)> =
-            lsp.hops.iter().map(|h| (h.addr, h.labels())).collect();
-        for b in &mut self.branches {
-            let bsig: Vec<(Ipv4Addr, Vec<Label>)> =
-                b.hops.iter().map(|h| (h.addr, h.labels())).collect();
-            if bsig == sig {
-                if let Some(a) = lsp.dst_asn {
-                    b.dst_asns.insert(a);
-                }
-                b.observations += 1;
-                return;
+        // Equal exactly when the `LspKey` signatures are equal.
+        let same_signature = |hops: &[LspHop]| {
+            hops.len() == lsp.hops.len()
+                && hops.iter().zip(&lsp.hops).all(|(x, y)| x.addr == y.addr && x.same_labels(y))
+        };
+        if let Some(b) = self.branches.iter_mut().find(|b| same_signature(&b.hops)) {
+            if let Some(a) = lsp.dst_asn {
+                b.dst_asns.insert(a);
             }
+            b.observations += 1;
+            return;
         }
         let mut dst_asns = BTreeSet::new();
         if let Some(a) = lsp.dst_asn {
@@ -270,5 +280,30 @@ mod tests {
         assert_eq!(a.key(), b.key());
         b.hops[0].stack = LabelStack::from_entries(&[Lse::transit(101, 254)]);
         assert_ne!(a.key(), b.key());
+    }
+
+    #[test]
+    fn same_labels_agrees_with_label_values() {
+        let hop = |labels: &[u32], ttl: u8| {
+            LspHop::new(
+                ip(2),
+                labels.iter().map(|&l| Lse::new(Label::new(l), (l % 8) as u8, false, ttl)).collect(),
+            )
+        };
+        let hops = [
+            hop(&[100], 250),
+            hop(&[100], 3),
+            hop(&[101], 250),
+            hop(&[100, 200, 300], 250),
+            hop(&[100, 200, 300], 9),
+            hop(&[100, 200, 301], 250),
+            hop(&[100, 200], 250),
+            hop(&[], 0),
+        ];
+        for a in &hops {
+            for b in &hops {
+                assert_eq!(a.same_labels(b), a.labels() == b.labels(), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -12,10 +12,11 @@
 //!    into one sorted `<label>.spill` file on
 //!    [`KeySpiller::finish`] — classic external sort, peak memory is the
 //!    run buffer.
-//! 2. [`persistent_flags_spilled`] encodes the cycle's surviving LSP
-//!    keys once, sorts them, and streams each snapshot's spill file with
-//!    a two-pointer walk — no per-probe seeks, O(L log L) CPU plus one
-//!    sequential read of the window.
+//! 2. [`persistent_flags_spilled`] encodes the cycle's surviving LSPs
+//!    once, straight from their hops (no [`LspKey`] is built), sorts
+//!    them, and streams each snapshot's spill file with a two-pointer
+//!    walk — no per-probe seeks, O(L log L) CPU plus one sequential read
+//!    of the window.
 //!
 //! The byte encoding ([`encode_key`]) is injective, so spilled
 //! membership is *exactly* set membership: for any window,
@@ -24,9 +25,11 @@
 //! equivalence test below).
 
 use crate::filter::FilterConfig;
+use crate::label::Label;
 use crate::lsp::{Lsp, LspKey};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
 /// Encoded keys buffered in memory before a sorted run is written
@@ -40,10 +43,31 @@ pub const RUN_CAPACITY: usize = 64 * 1024;
 /// is key equality.
 pub fn encode_key(key: &LspKey, out: &mut Vec<u8>) {
     out.clear();
-    out.extend_from_slice(&key.ingress.octets());
-    out.extend_from_slice(&key.egress.octets());
-    out.extend_from_slice(&(key.signature.len() as u32).to_be_bytes());
-    for (addr, labels) in &key.signature {
+    let hops = key.signature.iter().map(|(addr, labels)| (*addr, labels.iter().copied()));
+    encode_signature(key.ingress, key.egress, hops, out);
+}
+
+/// Appends the encoding of `lsp`'s key to `out`, read straight from
+/// its hops: the same bytes as [`encode_key`] over [`Lsp::key`],
+/// without building the key.
+fn encode_lsp(lsp: &Lsp, out: &mut Vec<u8>) {
+    let hops = lsp.hops.iter().map(|h| (h.addr, h.stack.entries().iter().map(|e| e.label)));
+    encode_signature(lsp.ingress, lsp.egress, hops, out);
+}
+
+/// Appends the spill byte format of one key, over any source of
+/// `(address, label values)` hops. [`encode_key`] and `encode_lsp` both
+/// write through here.
+fn encode_signature<L: ExactSizeIterator<Item = Label>>(
+    ingress: Ipv4Addr,
+    egress: Ipv4Addr,
+    hops: impl ExactSizeIterator<Item = (Ipv4Addr, L)>,
+    out: &mut Vec<u8>,
+) {
+    out.extend_from_slice(&ingress.octets());
+    out.extend_from_slice(&egress.octets());
+    out.extend_from_slice(&(hops.len() as u32).to_be_bytes());
+    for (addr, labels) in hops {
         out.extend_from_slice(&addr.octets());
         out.extend_from_slice(&(labels.len() as u32).to_be_bytes());
         for l in labels {
@@ -70,7 +94,7 @@ impl SpilledKeys {
     /// file, no seeks.
     pub fn mark_members(
         &self,
-        probes: &[(Vec<u8>, usize)],
+        probes: &[(&[u8], usize)],
         flags: &mut [bool],
     ) -> io::Result<()> {
         if probes.is_empty() {
@@ -79,10 +103,10 @@ impl SpilledKeys {
         let mut reader = RunReader::open(&self.path)?;
         let mut i = 0usize;
         while let Some(key) = reader.next_key()? {
-            while i < probes.len() && probes[i].0.as_slice() < key.as_slice() {
+            while i < probes.len() && probes[i].0 < key.as_slice() {
                 i += 1;
             }
-            while i < probes.len() && probes[i].0.as_slice() == key.as_slice() {
+            while i < probes.len() && probes[i].0 == key.as_slice() {
                 flags[probes[i].1] = true;
                 i += 1;
             }
@@ -241,15 +265,17 @@ pub fn persistent_flags_spilled(
     if window.is_empty() || lsps.is_empty() {
         return Ok(flags);
     }
-    let mut probes: Vec<(Vec<u8>, usize)> = lsps
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let mut b = Vec::new();
-            encode_key(&l.key(), &mut b);
-            (b, i)
-        })
-        .collect();
+    // Every probe encoded back to back in one buffer: a handful of
+    // allocations however many LSPs are probed.
+    let mut encoded = Vec::new();
+    let mut spans = Vec::with_capacity(lsps.len());
+    for l in lsps {
+        let start = encoded.len();
+        encode_lsp(l, &mut encoded);
+        spans.push(start..encoded.len());
+    }
+    let mut probes: Vec<(&[u8], usize)> =
+        spans.into_iter().enumerate().map(|(i, span)| (&encoded[span], i)).collect();
     probes.sort_unstable();
     for snapshot in window {
         snapshot.mark_members(&probes, &mut flags)?;
@@ -324,6 +350,27 @@ mod tests {
         let mut ea2 = Vec::new();
         encode_key(&lsp(1, &[100, 200]).key(), &mut ea2);
         assert_eq!(ea, ea2);
+    }
+
+    #[test]
+    fn lsp_and_key_encodings_are_identical() {
+        let mut deep = lsp(3, &[16, 17, 18]);
+        // Stacks on both sides of the inline capacity, TC/S/TTL noise
+        // that the key ignores, and an unlabelled hop.
+        deep.hops[0].stack = (0..LabelStack::INLINE as u32 + 2)
+            .map(|d| Lse::new(Label::new(100 + d), d as u8, d == 0, 200 - d as u8))
+            .collect();
+        deep.hops[1].stack = LabelStack::from_entries(&[Lse::transit(7, 1), Lse::transit(8, 2)]);
+        deep.hops[2].stack = LabelStack::empty();
+        assert!(deep.hops[0].stack.depth() > LabelStack::INLINE);
+        for l in [lsp(1, &[100]), lsp(2, &[100, 200]), deep, lsp(4, &[])] {
+            // `encode_key` clears its buffer first; `encode_lsp` appends.
+            let (mut from_key, mut from_lsp) = (vec![0xAA], vec![0xBB]);
+            encode_key(&l.key(), &mut from_key);
+            encode_lsp(&l, &mut from_lsp);
+            assert_eq!(from_lsp[0], 0xBB);
+            assert_eq!(from_lsp[1..], from_key, "{l:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * naturally generalises to DAGs when ECMP splits branches (the
 //!   paper's closing remark).
 
-use crate::classify::common_ip_labels;
+use crate::classify::common_ips;
 use crate::label::Label;
 use crate::lsp::{Asn, Iotp, IotpKey, Lsp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,19 +87,13 @@ pub fn classify_tree(tree: &FecTree) -> TreeClass {
     if tree.branches.width() <= 1 {
         return TreeClass::SingleBranch;
     }
-    let common = common_ip_labels(&tree.branches);
-    if common.is_empty() {
-        return TreeClass::NoConvergence;
-    }
-    let conflicting: Vec<Ipv4Addr> = common
-        .iter()
-        .filter(|(_, labels)| labels.len() > 1)
-        .map(|(addr, _)| *addr)
-        .collect();
-    if conflicting.is_empty() {
+    let common = common_ips(&tree.branches);
+    if common.count == 0 {
+        TreeClass::NoConvergence
+    } else if common.multi_label.is_empty() {
         TreeClass::ConsistentLdp
     } else {
-        TreeClass::MultiFec { conflicting }
+        TreeClass::MultiFec { conflicting: common.multi_label }
     }
 }
 

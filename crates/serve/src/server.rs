@@ -7,7 +7,7 @@ use lpr_core::pipeline::{IngestState, Pipeline};
 use lpr_corpus::{ingest_cycle, Corpus, DecodeReport, FileSkipReason, IngestOptions};
 use lpr_obs::json::JsonValue;
 use lpr_obs::{names, Recorder, RunTelemetry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
@@ -223,9 +223,13 @@ struct Reconciler {
     rib: Arc<ip2as::Ip2AsTrie>,
     window: IngestState,
     next_cycle: u64,
-    /// Files fully settled (ingested or quarantined), by file name.
+    /// Files ingested, in settle order.
     kept: Vec<String>,
+    /// Files quarantined with their reason, in settle order.
     quarantined: Vec<(String, String)>,
+    /// Names of every file in `kept` or `quarantined`: the per-tick
+    /// lookup that keeps settled files out of the scan.
+    settled: HashSet<String>,
     pending: BTreeMap<PathBuf, Pending>,
 }
 
@@ -239,6 +243,7 @@ impl Reconciler {
             next_cycle: 0,
             kept: Vec::new(),
             quarantined: Vec::new(),
+            settled: HashSet::new(),
             pending: BTreeMap::new(),
         }
     }
@@ -295,8 +300,7 @@ impl Reconciler {
     }
 
     fn is_settled(&self, path: &Path) -> bool {
-        let name = file_name(path);
-        self.kept.contains(&name) || self.quarantined.iter().any(|(q, _)| *q == name)
+        self.settled.contains(&file_name(path))
     }
 
     /// Drives one file one step through the attempt/defer/retry state
@@ -323,7 +327,9 @@ impl Reconciler {
                         .counter(names::SERVE_CYCLES_EVICTED)
                         .add(evicted.len() as u64);
                 }
-                self.kept.push(file_name(path));
+                let name = file_name(path);
+                self.settled.insert(name.clone());
+                self.kept.push(name);
                 self.pending.remove(path);
                 self.shared.recorder.counter(names::SERVE_FILES_INGESTED).inc();
                 true
@@ -433,6 +439,7 @@ impl Reconciler {
             ("detail".into(), detail),
         ]);
         let _ = std::fs::write(qdir.join(format!("{name}.reason.json")), doc.render_pretty());
+        self.settled.insert(name.clone());
         self.quarantined.push((name, reason.to_string()));
         self.pending.remove(path);
         self.shared.recorder.counter(names::SERVE_FILES_QUARANTINED).inc();
